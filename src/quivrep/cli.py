@@ -349,7 +349,7 @@ def run(argv=None) -> int:
     if not (args.tol > 0):
         print("error: --tol must be positive", file=sys.stderr)
         return 2
-    settings.tol = args.tol
+    saved_tol, settings.tol = settings.tol, args.tol
     echo = " ".join(argv)
     try:
         report, code = _COMMANDS[args.command](args, echo)
@@ -365,6 +365,11 @@ def run(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except OverflowError as e:
+        print(f"error: a value leaves the double-precision range ({e})", file=sys.stderr)
+        return 3
+    finally:
+        settings.tol = saved_tol
     print(render_report(report, args.fmt))
     return code
 

@@ -10,6 +10,7 @@ factorial-weight four-subspace family.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -159,9 +160,18 @@ def fmt_number(z) -> str:
 
 
 def parse_sequence(literal) -> SequenceSpec:
-    """Parse 'seq:<family>[:params]' literals (see SequenceSpec families)."""
+    """Parse 'seq:<family>[:params]' literals (see SequenceSpec families).
+
+    Every number in the literal must be finite.
+    """
     if isinstance(literal, SequenceSpec):
         return literal
+
+    def finite(x):
+        if not cmath.isfinite(x):
+            raise ValueError(f"non-finite number {x} in sequence literal {literal!r}")
+        return x
+
     text = literal.strip()
     if not text.startswith("seq:"):
         raise ValueError(f"sequence literal must start with 'seq:', got {literal!r}")
@@ -172,14 +182,14 @@ def parse_sequence(literal) -> SequenceSpec:
         return SequenceSpec("hrr")
     parts = body.split(":")
     if parts[0] == "one-minus-pow" and len(parts) <= 2:
-        base = float(parts[1]) if len(parts) == 2 else 2.0
+        base = finite(float(parts[1])) if len(parts) == 2 else 2.0
         return SequenceSpec("one-minus-pow", base=base)
     if parts[0] == "exp-neg-pow":
         if len(parts) != 3:
             raise ValueError(f"exp-neg-pow literal needs 'seq:exp-neg-pow:<lam>:<even|odd>', got {literal!r}")
-        return SequenceSpec("exp-neg-pow", lam=float(parts[1]), parity=parts[2])
+        return SequenceSpec("exp-neg-pow", lam=finite(float(parts[1])), parity=parts[2])
     if body.startswith("const:"):
-        return SequenceSpec("const", const=complex(body[len("const:") :]))
+        return SequenceSpec("const", const=finite(complex(body[len("const:") :])))
     if body.startswith("list:"):
         rest = body[len("list:") :]
         if not rest.startswith("["):
@@ -188,7 +198,7 @@ def parse_sequence(literal) -> SequenceSpec:
         if close < 0:
             raise ValueError(f"unterminated list in {literal!r}")
         inner = rest[1:close]
-        values = tuple(complex(x.strip()) for x in inner.split(",") if x.strip() != "")
+        values = tuple(finite(complex(x.strip())) for x in inner.split(",") if x.strip() != "")
         after = rest[close + 1 :]
         tail = None
         if after.startswith(":"):

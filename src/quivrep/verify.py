@@ -263,7 +263,7 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
 
     pair = opmodels.kron_pair_shift_rank_one(lam, w, 16)
     s = np.linalg.svd(pair.a, compute_uv=False)
-    ok = s[-1] > 1e-12 * s[0]
+    ok = bool(s[-1] > 1e-12 * s[0])
     checks.append(Check("shift-plus-rank-one operator has trivial kernel", ok,
                         f"sigma_min={_fmt(float(s[-1]))}"))
 
@@ -272,7 +272,7 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
     sa = np.linalg.svd(pair.a, compute_uv=False)
     rank_b = int(np.linalg.matrix_rank(pair.b))
     zero = opmodels.log_mk(aseq, bseq, -2, -2, 8)
-    ok = sa[-1] > 0 and rank_b == pair.n - 1 and zero == 0.0
+    ok = bool(sa[-1] > 0) and rank_b == pair.n - 1 and zero == 0.0
     checks.append(Check("bilateral window keeps the diagonal invertible", ok,
                         f"rank_b={rank_b} log_mk_equal_args={_fmt(zero)}"))
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from quivrep import cli, verify
+from quivrep import cli, settings, verify
 from quivrep.textio import format_matrix
 
 KRONECKER_REP = """\
@@ -245,3 +245,32 @@ def test_text_rendering_of_check_lines(capsys):
             break
     else:
         raise AssertionError("no check lines rendered")
+
+
+def test_verify_operator_suite_renders_as_json(capsys):
+    code, report = run_json(capsys, ["verify", "--suite", "operator", "--trials", "2"])
+    assert code == 0
+    assert report["ok"] is True
+
+
+def test_non_finite_sequence_number_is_a_usage_error(capsys):
+    argv = ["opmodel", "--pair", "shift-rank-one", "--lambda", "seq:const:nan",
+            "--w", "seq:reciprocal", "--n", "4"]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: non-finite number")
+
+
+@pytest.mark.parametrize("w, n", [("seq:hrr", "7"), ("seq:exp-neg-pow:3:odd", "700")])
+def test_weight_overflow_is_a_precondition_failure(capsys, w, n):
+    argv = ["opmodel", "--pair", "bilateral", "--lambda", "seq:const:1", "--w", w, "--n", n]
+    assert cli.run(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_run_restores_the_global_tolerance(rep_file, capsys):
+    assert settings.tol == 1e-9
+    assert cli.run(["analyze", rep_file(KRONECKER_REP), "--tol", "1e-3"]) == 0
+    assert settings.tol == 1e-9
+    assert cli.run(["analyze", "/nonexistent/path.rep", "--tol", "1e-3"]) == 2
+    assert settings.tol == 1e-9

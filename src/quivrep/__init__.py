@@ -83,7 +83,6 @@ from .opmodels import (
     subspace_system_rep,
 )
 from .builders import (
-    SubspaceRepSpec,
     build_an_tilde_noncyclic,
     build_extended_dynkin,
     subspace_inclusion_rep,

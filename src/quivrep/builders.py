@@ -1,16 +1,17 @@
 """Subspace-family representations over extended Dynkin shapes.
 
-Each builder takes one operator s on K = C^k and produces a representation by
-inclusions of concrete subspaces of K^m: every vertex carries an orthonormal
-injection into the ambient space, every arrow the coordinate matrix of an
-inclusion.  The designs tie End of the result to the commutant of s, so the
-representation is indecomposable exactly when s is strongly irreducible.
+Each builder takes one operator s on K = C^k and produces a subspace system
+in K^m (an opmodels.SubspaceSystem: labelled orthonormal injections), a
+quiver, and a label for every vertex.  subspace_inclusion_rep turns these
+into a representation: every vertex carries its labelled subspace, every
+arrow the coordinate matrix of an inclusion.  The designs tie End of the
+result to the commutant of s, so the representation is indecomposable
+exactly when s is strongly irreducible.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -18,65 +19,41 @@ import numpy as np
 from . import linalg
 from .config import settings
 from .errors import PreconditionError
-from .quiver import Quiver, graph_family, is_oriented_cycle, new_quiver
+from .opmodels import SubspaceSystem
+from .quiver import Quiver, cycle_walk, graph_family, is_oriented_cycle, new_quiver
 from .rep import Rep, new_rep
 
 
-@dataclass
-class SubspaceRepSpec:
-    """Named subspaces of C^ambient plus a quiver whose arrows are inclusions."""
-
-    ambient: int
-    subspaces: dict[str, np.ndarray]  # name -> orthonormal injection
-    quiver: Quiver
-    vertex_subspaces: dict[str, str]  # vertex -> subspace name
-    # arrow -> (source subspace, target subspace); derived from the quiver when omitted
-    assign: dict[str, tuple[str, str]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.assign:
-            self.assign = {
-                a.name: (self.vertex_subspaces[a.src], self.vertex_subspaces[a.dst])
-                for a in self.quiver.arrows
-            }
-
-
-def subspace_inclusion_rep(spec: SubspaceRepSpec, tol: float | None = None) -> Rep:
+def subspace_inclusion_rep(
+    system: SubspaceSystem, quiver: Quiver, vertex_subspaces: dict[str, str]
+) -> Rep:
     """Check the inclusions and produce the representation of coordinate matrices.
 
-    For an arrow with assigned subspaces (S, T) the hypothesis is S <= T, i.e.
-    |(1 - P_T) J_S| <= tol; the arrow matrix is then J_T* J_S.
+    `vertex_subspaces` labels every vertex with one of the system's subspaces.
+    An arrow u -> v needs S_u <= S_v, i.e. |(1 - P_v) J_u| <= tol; the arrow
+    matrix is then J_v* J_u.
     """
-    t = settings.tol if tol is None else tol
-    for name, j in spec.subspaces.items():
-        j = np.asarray(j, dtype=complex)
-        if j.shape[0] != spec.ambient:
-            raise ValueError(f"subspace {name!r}: {j.shape[0]} rows, ambient is {spec.ambient}")
-        if j.shape[1]:
-            defect = np.linalg.norm(j.conj().T @ j - np.eye(j.shape[1]))
-            if defect > 1e-8:
-                raise ValueError(f"subspace {name!r}: injection not orthonormal (defect {defect:.2e})")
-    for v in spec.quiver.vertices:
-        if v not in spec.vertex_subspaces:
+    subspaces = dict(zip(system.labels, system.injections))
+    for v in quiver.vertices:
+        if v not in vertex_subspaces:
             raise ValueError(f"vertex {v!r} has no assigned subspace")
-        if spec.vertex_subspaces[v] not in spec.subspaces:
-            raise ValueError(f"vertex {v!r} names unknown subspace {spec.vertex_subspaces[v]!r}")
+        if vertex_subspaces[v] not in subspaces:
+            raise ValueError(f"vertex {v!r} names unknown subspace {vertex_subspaces[v]!r}")
 
-    dims = {v: spec.subspaces[spec.vertex_subspaces[v]].shape[1] for v in spec.quiver.vertices}
+    dims = {v: subspaces[vertex_subspaces[v]].shape[1] for v in quiver.vertices}
     mats = {}
-    for a in spec.quiver.arrows:
-        s_name, t_name = spec.assign[a.name]
-        js = np.asarray(spec.subspaces[s_name], dtype=complex)
-        jt = np.asarray(spec.subspaces[t_name], dtype=complex)
+    for a in quiver.arrows:
+        s_name, t_name = vertex_subspaces[a.src], vertex_subspaces[a.dst]
+        js, jt = subspaces[s_name], subspaces[t_name]
         if js.shape[1]:
             defect = np.linalg.norm(js - jt @ (jt.conj().T @ js))
-            if defect > t * max(1.0, np.linalg.norm(js)):
+            if defect > settings.tol * max(1.0, np.linalg.norm(js)):
                 raise PreconditionError(
                     f"arrow {a.name!r}: subspace {s_name!r} is not contained in {t_name!r} "
                     f"(defect {defect:.2e}); inclusion arrows need nested subspaces"
                 )
         mats[a.name] = jt.conj().T @ js
-    return new_rep(spec.quiver, dims, mats)
+    return new_rep(quiver, dims, mats)
 
 
 def _block_injection(m: int, k: int, cols: list[dict[int, np.ndarray]]) -> np.ndarray:
@@ -90,6 +67,10 @@ def _block_injection(m: int, k: int, cols: list[dict[int, np.ndarray]]) -> np.nd
     return linalg.qr_orthonormalize(j)
 
 
+def _system(ambient: int, subspaces: dict[str, np.ndarray]) -> SubspaceSystem:
+    return SubspaceSystem(ambient, list(subspaces.values()), tuple(subspaces))
+
+
 def _validate_operator(s) -> tuple[np.ndarray, int]:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
@@ -99,7 +80,7 @@ def _validate_operator(s) -> tuple[np.ndarray, int]:
     return s, s.shape[0]
 
 
-def _dn_tilde(n: int, s: np.ndarray, k: int) -> SubspaceRepSpec:
+def _dn_tilde(n: int, s: np.ndarray, k: int) -> tuple[SubspaceSystem, Quiver, dict[str, str]]:
     if n < 4:
         raise PreconditionError(f"the two-fork family needs n >= 4, got {n}")
     eye = np.eye(k, dtype=complex)
@@ -122,10 +103,10 @@ def _dn_tilde(n: int, s: np.ndarray, k: int) -> SubspaceRepSpec:
     vertex_subspaces = {"1": "H1", "2": "H2", "3": "H3", "4": "H4"}
     for i in range(5, n + 2):
         vertex_subspaces[str(i)] = "full"
-    return SubspaceRepSpec(2 * k, subspaces, q, vertex_subspaces)
+    return _system(2 * k, subspaces), q, vertex_subspaces
 
 
-def _e6_tilde(s: np.ndarray, k: int) -> SubspaceRepSpec:
+def _e6_tilde(s: np.ndarray, k: int) -> tuple[SubspaceSystem, Quiver, dict[str, str]]:
     eye = np.eye(k, dtype=complex)
     q = new_quiver(
         ["0", "1", "2", "1'", "2'", "1''", "2''"],
@@ -148,19 +129,10 @@ def _e6_tilde(s: np.ndarray, k: int) -> SubspaceRepSpec:
         "H1''": _block_injection(3, k, [{0: eye}, {2: eye}]),
         "H2''": _block_injection(3, k, [{0: eye, 2: eye}]),
     }
-    vertex_subspaces = {
-        "0": "H0",
-        "1": "H1",
-        "2": "H2",
-        "1'": "H1'",
-        "2'": "H2'",
-        "1''": "H1''",
-        "2''": "H2''",
-    }
-    return SubspaceRepSpec(3 * k, subspaces, q, vertex_subspaces)
+    return _system(3 * k, subspaces), q, {v: "H" + v for v in q.vertices}
 
 
-def _e7_tilde(s: np.ndarray, k: int) -> SubspaceRepSpec:
+def _e7_tilde(s: np.ndarray, k: int) -> tuple[SubspaceSystem, Quiver, dict[str, str]]:
     eye = np.eye(k, dtype=complex)
     q = new_quiver(
         ["0", "1", "2", "3", "1'", "2'", "3'", "1''"],
@@ -185,20 +157,10 @@ def _e7_tilde(s: np.ndarray, k: int) -> SubspaceRepSpec:
         "H3'": _block_injection(4, k, [{1: eye}]),
         "H1''": _block_injection(4, k, [{0: eye, 2: eye}, {1: eye, 3: eye}]),
     }
-    vertex_subspaces = {
-        "0": "H0",
-        "1": "H1",
-        "2": "H2",
-        "3": "H3",
-        "1'": "H1'",
-        "2'": "H2'",
-        "3'": "H3'",
-        "1''": "H1''",
-    }
-    return SubspaceRepSpec(4 * k, subspaces, q, vertex_subspaces)
+    return _system(4 * k, subspaces), q, {v: "H" + v for v in q.vertices}
 
 
-def _e8_tilde(s: np.ndarray, k: int) -> SubspaceRepSpec:
+def _e8_tilde(s: np.ndarray, k: int) -> tuple[SubspaceSystem, Quiver, dict[str, str]]:
     eye = np.eye(k, dtype=complex)
     q = new_quiver(
         ["0", "1", "2", "3", "4", "5", "1'", "2'", "1''"],
@@ -225,18 +187,7 @@ def _e8_tilde(s: np.ndarray, k: int) -> SubspaceRepSpec:
         "H2'": _block_injection(6, k, [{0: eye}, {1: eye}]),
         "H1''": _block_injection(6, k, [{0: eye, 4: eye}, {1: eye, 5: eye}, {2: eye}]),
     }
-    vertex_subspaces = {
-        "0": "H0",
-        "1": "H1",
-        "2": "H2",
-        "3": "H3",
-        "4": "H4",
-        "5": "H5",
-        "1'": "H1'",
-        "2'": "H2'",
-        "1''": "H1''",
-    }
-    return SubspaceRepSpec(6 * k, subspaces, q, vertex_subspaces)
+    return _system(6 * k, subspaces), q, {v: "H" + v for v in q.vertices}
 
 
 def build_extended_dynkin(family: str, s, n: int | None = None) -> Rep:
@@ -252,18 +203,18 @@ def build_extended_dynkin(family: str, s, n: int | None = None) -> Rep:
         count = int(m.group(1)) if m.group(1) else n
         if count is None:
             raise ValueError("the two-fork family needs its size, e.g. 'd4tilde'")
-        spec = _dn_tilde(int(count), s, k)
+        parts = _dn_tilde(int(count), s, k)
     elif fam == "e6tilde":
-        spec = _e6_tilde(s, k)
+        parts = _e6_tilde(s, k)
     elif fam == "e7tilde":
-        spec = _e7_tilde(s, k)
+        parts = _e7_tilde(s, k)
     elif fam == "e8tilde":
-        spec = _e8_tilde(s, k)
+        parts = _e8_tilde(s, k)
     else:
         raise ValueError(
             f"unknown family {family!r}; expected d<n>tilde, e6tilde, e7tilde or e8tilde"
         )
-    return subspace_inclusion_rep(spec)
+    return subspace_inclusion_rep(*parts)
 
 
 class AnTildeRep(NamedTuple):
@@ -295,43 +246,10 @@ def build_an_tilde_noncyclic(orientation: Quiver, a, b) -> AnTildeRep:
         raise ValueError(f"need two square matrices of equal size, got {a.shape} and {b.shape}")
     size = a.shape[0]
 
-    # undirected traversal of the cycle from the first declared vertex
-    q = orientation
-    incident: dict[str, list] = {v: [] for v in q.vertices}
-    for arr in q.arrows:
-        incident[arr.src].append(arr)
-        if arr.dst != arr.src:
-            incident[arr.dst].append(arr)
-    start = q.vertices[0]
-    edge = incident[start][0]
-    order = []  # (arrow, tail vertex) following the traversal
-    v = start
-    used = set()
-    for _ in range(len(q.arrows)):
-        order.append((edge, v))
-        used.add(edge.name)
-        v = edge.dst if edge.src == v else edge.src
-        nxt = [e for e in incident[v] if e.name not in used]
-        if not nxt and len(used) < len(q.arrows):
-            raise PreconditionError("the underlying graph must be a single cycle")
-        edge = nxt[0] if nxt else None
-    if v != start:
-        raise PreconditionError("the underlying graph must be a single cycle")
-
-    with_arrow = None
-    against_arrow = None
-    for arr, tail in order:
-        if arr.src == tail and with_arrow is None:
-            with_arrow = arr.name
-        if arr.src != tail and against_arrow is None:
-            against_arrow = arr.name
-    mats = {}
-    for arr in q.arrows:
-        if arr.name == with_arrow:
-            mats[arr.name] = a
-        elif arr.name == against_arrow:
-            mats[arr.name] = b
-        else:
-            mats[arr.name] = np.eye(size, dtype=complex)
-    rep = new_rep(q, {vtx: size for vtx in q.vertices}, mats)
+    walk = cycle_walk(orientation)
+    with_arrow = next(arr.name for arr, tail in walk if arr.src == tail)
+    against_arrow = next(arr.name for arr, tail in walk if arr.src != tail)
+    mats = {arr.name: np.eye(size, dtype=complex) for arr in orientation.arrows}
+    mats[with_arrow], mats[against_arrow] = a, b
+    rep = new_rep(orientation, {vtx: size for vtx in orientation.vertices}, mats)
     return AnTildeRep(rep, with_arrow, against_arrow)

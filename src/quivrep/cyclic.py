@@ -13,7 +13,8 @@ import numpy as np
 
 from .config import settings
 from .errors import PreconditionError
-from .quiver import Quiver, new_quiver
+from .linalg import connected_components
+from .quiver import Quiver, cycle_walk, is_oriented_cycle, new_quiver
 from .rep import Rep, new_rep
 
 
@@ -57,26 +58,12 @@ def cycle_rep(dims, scalars) -> Rep:
 
 def _cycle_order(q: Quiver) -> tuple[list[str], list[str]]:
     """Vertices and arrow names of an oriented cycle in cyclic order from vertices[0]."""
-    n = len(q.vertices)
-    out = {v: [] for v in q.vertices}
-    inc = {v: 0 for v in q.vertices}
-    for a in q.arrows:
-        out[a.src].append(a)
-        inc[a.dst] += 1
-    if len(q.arrows) != n or any(len(out[v]) != 1 for v in q.vertices) or any(
-        inc[v] != 1 for v in q.vertices
-    ):
+    if not is_oriented_cycle(q):
         raise PreconditionError("the quiver is not an oriented cycle")
-    order_v, order_a = [], []
-    v = q.vertices[0]
-    for _ in range(n):
-        order_v.append(v)
-        a = out[v][0]
-        order_a.append(a.name)
-        v = a.dst
-    if v != q.vertices[0] or len(set(order_v)) != n:
-        raise PreconditionError("the quiver is not a single oriented cycle")
-    return order_v, order_a
+    arrows = [a for a, _ in cycle_walk(q)]
+    if arrows[0].src != q.vertices[0]:  # the walk went against the arrows
+        arrows.reverse()
+    return [a.src for a in arrows], [a.name for a in arrows]
 
 
 def hf_components(r: Rep, tol: float | None = None) -> list[tuple[int, ...]]:
@@ -96,28 +83,14 @@ def hf_components(r: Rep, tol: float | None = None) -> list[tuple[int, ...]]:
     if any(r.dims[v] > 1 for v in order_v):
         raise PreconditionError("the component relation is defined for dims 0 and 1 only")
     t = settings.tol if tol is None else tol
-    alive = [i for i in range(n) if r.dims[order_v[i]] == 1]
-    parent = {i: i for i in alive}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        j = (i + 1) % n
-        if r.dims[order_v[i]] == 1 and r.dims[order_v[j]] == 1:
-            m = r.mats[order_a[i]]
-            if abs(m[0, 0]) > t:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in alive:
-        groups.setdefault(find(i), []).append(i)
-    return sorted(tuple(sorted(p + 1 for p in members)) for members in groups.values())
+    live = [r.dims[v] == 1 for v in order_v]
+    edges = [
+        (i, (i + 1) % n)
+        for i in range(n)
+        if live[i] and live[(i + 1) % n] and abs(r.mats[order_a[i]][0, 0]) > t
+    ]
+    comps = connected_components(n, edges)
+    return sorted(tuple(p + 1 for p in comp) for comp in comps if live[comp[0]])
 
 
 def cn_transitive_criterion(r: Rep, tol: float | None = None) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from .config import settings
 from .errors import PreconditionError
-from .rep import Hom, Rep, hom_compose, hom_lincomb, is_invertible_hom, make_hom
+from .rep import Hom, Rep, hom_compose, hom_lincomb, idempotent_defects, is_invertible_hom, make_hom
 
 
 @dataclass
@@ -77,12 +77,8 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
         blocks.append(block)
 
     system = np.vstack(blocks) if blocks else np.zeros((0, total), dtype=complex)
-    if system.shape[0] == 0:
-        vectors = np.eye(total, dtype=complex)
-        tol_used = 0.0
-    else:
-        s, vectors = linalg.nullspace_with_values(system)
-        tol_used = linalg.svd_cutoff(s, system.shape)
+    s, vectors = linalg.nullspace_with_values(system)
+    tol_used = linalg.svd_cutoff(s, system.shape)
 
     basis = []
     for j in range(vectors.shape[1]):
@@ -162,17 +158,10 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0, trials: int | None =
         except (np.linalg.LinAlgError, ValueError):
             continue
         p = make_hom(r, r, proj)
-        sq_defect = max(
-            (float(np.linalg.norm(p.mats[v] @ p.mats[v] - p.mats[v])) for v in live),
-            default=0.0,
-        )
+        sq_defect, id_defect = idempotent_defects(p)
         if sq_defect > settings.idem_tol or p.residual > settings.idem_tol:
             continue
-        norm = p.norm()
-        id_defect = float(
-            np.sqrt(sum(np.linalg.norm(p.mats[v] - np.eye(r.dims[v])) ** 2 for v in r.quiver.vertices))
-        )
-        if norm <= settings.idem_tol or id_defect <= settings.idem_tol:
+        if p.norm() <= settings.idem_tol or id_defect <= settings.idem_tol:
             continue
         return p
     return None

@@ -119,6 +119,31 @@ def right_mult_matrix(b, nrows: int) -> np.ndarray:
     return np.kron(np.eye(nrows), np.asarray(b, dtype=complex).T)
 
 
+def connected_components(n: int, edges) -> list[list[int]]:
+    """Components of the undirected graph on 0..n-1 with the given (i, j) edges.
+
+    Each component lists its members in increasing order; components are
+    ordered by their smallest member.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def cluster_eigenvalues(eigs, rel_gap: float | None = None) -> list[list[int]]:
     """Single-linkage clusters of complex eigenvalues.
 
@@ -133,30 +158,14 @@ def cluster_eigenvalues(eigs, rel_gap: float | None = None) -> list[list[int]]:
         return []
     gap = (settings.cluster_gap if rel_gap is None else rel_gap) * float(np.max(np.abs(eigs)))
 
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(eigs[i] - eigs[j]) <= gap:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
+    edges = ((i, j) for i in range(m) for j in range(i + 1, m) if abs(eigs[i] - eigs[j]) <= gap)
+    groups = connected_components(m, edges)
 
     def sort_key(members):
         vals = [(eigs[i].real, eigs[i].imag) for i in members]
         return min(vals)
 
-    return sorted(groups.values(), key=sort_key)
+    return sorted(groups, key=sort_key)
 
 
 def spectral_projection(a, select) -> np.ndarray:

@@ -19,9 +19,10 @@ import numpy as np
 from . import linalg
 from .config import settings
 from .errors import PreconditionError
-from .hom import end_basis, hom_basis, is_indecomposable
+from .hom import end_basis, is_indecomposable
 from .quiver import jordan_quiver, kronecker_quiver, new_quiver
 from .rep import Rep, new_rep
+from .textio import fmt_complex
 
 # ---------------------------------------------------------------------------
 # weight sequences
@@ -136,27 +137,18 @@ class SequenceSpec:
         if self.family == "reciprocal":
             return "seq:reciprocal"
         if self.family == "one-minus-pow":
-            return f"seq:one-minus-pow:{fmt_number(self.base)}"
+            return f"seq:one-minus-pow:{fmt_complex(self.base)}"
         if self.family == "exp-neg-pow":
-            return f"seq:exp-neg-pow:{fmt_number(self.lam)}:{self.parity}"
+            return f"seq:exp-neg-pow:{fmt_complex(self.lam)}:{self.parity}"
         if self.family == "hrr":
             return "seq:hrr"
         if self.family == "const":
-            return f"seq:const:{fmt_number(self.const)}"
-        body = ",".join(fmt_number(v) for v in self.values)
+            return f"seq:const:{fmt_complex(self.const)}"
+        body = ",".join(fmt_complex(v) for v in self.values)
         lit = f"seq:list:[{body}]"
         if self.tail is not None:
             lit += ":" + self.tail.literal()[len("seq:") :]
         return lit
-
-
-def fmt_number(z) -> str:
-    """Shortest-roundtrip decimal for a real or complex number."""
-    z = complex(z)
-    if z.imag == 0:
-        re = z.real
-        return repr(int(re)) if re == int(re) and abs(re) < 1e15 else repr(re)
-    return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
 
 
 def parse_sequence(literal) -> SequenceSpec:
@@ -226,11 +218,6 @@ def unilateral_shift(n: int) -> np.ndarray:
     return np.eye(n, k=-1, dtype=complex)
 
 
-def bilateral_shift(n: int) -> np.ndarray:
-    """Truncated two-sided shift: same matrix, window indexing, no wrap."""
-    return np.eye(n, k=-1, dtype=complex)
-
-
 def diag_of(seq, n: int) -> np.ndarray:
     s = parse_sequence(seq)
     return np.diag([complex(s.value(i)) for i in range(1, n + 1)]).astype(complex)
@@ -250,7 +237,7 @@ def rank_one(x, y) -> np.ndarray:
 def make_fixture(kind: str, **params) -> np.ndarray:
     builders = {
         "unilateral_shift": lambda: unilateral_shift(int(params["n"])),
-        "bilateral_shift": lambda: bilateral_shift(int(params["n"])),
+        "bilateral_shift": lambda: unilateral_shift(int(params["n"])),
         "diag": lambda: diag_of(params["seq"], int(params["n"])),
         "jordan": lambda: jordan_block(int(params["n"]), complex(params.get("lam", 0.0))),
         "rank_one": lambda: rank_one(params["x"], params["y"]),
@@ -443,7 +430,10 @@ def density_criterion(lam, w) -> DensityVerdict:
 
 @dataclass
 class SubspaceSystem:
-    """Finitely many subspaces of C^ambient, each given by an orthonormal injection."""
+    """Finitely many labelled subspaces of C^ambient, each given by an orthonormal injection.
+
+    The operator-pair systems and the extended-Dynkin builders share this type.
+    """
 
     ambient: int
     injections: list[np.ndarray]
@@ -466,16 +456,19 @@ class SubspaceSystem:
         return tuple(j.shape[1] for j in self.injections)
 
 
-def four_subspace_from_pair(p: OperatorPair) -> SubspaceSystem:
-    """E1 = H+0, E2 = 0+H, E3 = column space of [A; B], E4 = diagonal, in C^{2n}."""
-    n = p.n
+def _four_subspaces(n: int, e3: np.ndarray, tag: str) -> SubspaceSystem:
+    """E1 = H+0, E2 = 0+H, the given E3 and E4 = diagonal, in C^{2n}."""
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
     e1 = np.vstack([eye, zero])
     e2 = np.vstack([zero, eye])
-    e3 = linalg.orth(np.vstack([p.a, p.b]))
     e4 = np.vstack([eye, eye]) / np.sqrt(2.0)
-    return SubspaceSystem(2 * n, [e1, e2, e3, e4], ("E1", "E2", "E3", "E4"), tag=f"four({p.tag})")
+    return SubspaceSystem(2 * n, [e1, e2, e3, e4], ("E1", "E2", "E3", "E4"), tag=tag)
+
+
+def four_subspace_from_pair(p: OperatorPair) -> SubspaceSystem:
+    """The four-subspace system of a pair, with E3 the column space of [A; B]."""
+    return _four_subspaces(p.n, linalg.orth(np.vstack([p.a, p.b])), f"four({p.tag})")
 
 
 @dataclass
@@ -618,15 +611,17 @@ class StrongIrreducibilityVerdict:
     trials_used: int = 0
 
 
+def _loop_rep(a) -> Rep:
+    """The one-loop representation with matrix `a`; its End is the commutant of `a`."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    return new_rep(jordan_quiver(), {"1": a.shape[0]}, {"a": a})
+
+
 def commutant_basis(a) -> list[np.ndarray]:
     """Orthonormal (flattened) basis of {T : TA = AT}."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    system = np.kron(a, np.eye(n)) - np.kron(np.eye(n), a.T)
-    vectors = linalg.nullspace(system)
-    return [vectors[:, j].reshape(n, n) for j in range(vectors.shape[1])]
+    return [h.mats["1"] for h in end_basis(_loop_rep(a)).basis]
 
 
 def is_strongly_irreducible(a, seed: int = 0, trials: int | None = None) -> StrongIrreducibilityVerdict:
@@ -635,12 +630,9 @@ def is_strongly_irreducible(a, seed: int = 0, trials: int | None = None) -> Stro
     Delegates to the indecomposability of the one-loop representation with
     matrix `a`, whose endomorphisms are exactly the commutant.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
+    r = _loop_rep(a)
+    if r.is_zero:
         raise PreconditionError("strong irreducibility is about operators on a nonzero space")
-    r = new_rep(jordan_quiver(), {"1": a.shape[0]}, {"a": a})
     verdict = is_indecomposable(r, seed=seed, trials=trials)
     witness = verdict.witness.mats["1"] if verdict.witness is not None else None
     return StrongIrreducibilityVerdict(
@@ -668,12 +660,6 @@ def hrr_system(n: int) -> SubspaceSystem:
         raise ValueError(f"need a window of at least 2 points, got {n}")
     lo = -((n - 1) // 2)
     idx = [lo + i for i in range(n)]
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
-    e1 = np.vstack([eye, zero])
-    e2 = np.vstack([zero, eye])
-    e4 = np.vstack([eye, eye]) / np.sqrt(2.0)
-
     e3 = np.zeros((2 * n, n), dtype=complex)
     for i in range(n - 1):
         logw = hrr_log_weight(idx[i])
@@ -688,4 +674,4 @@ def hrr_system(n: int) -> SubspaceSystem:
         e3[i, i] = c
         e3[n + i + 1, i] = s
     e3[n - 1, n - 1] = 1.0  # top window vector: the shift image leaves the window
-    return SubspaceSystem(2 * n, [e1, e2, e3, e4], ("E1", "E2", "E3", "E4"), tag=f"hrr(window {idx[0]}..{idx[-1]})")
+    return _four_subspaces(n, e3, f"hrr(window {idx[0]}..{idx[-1]})")

@@ -149,27 +149,41 @@ def opposite(q: Quiver) -> Quiver:
     return Quiver(q.vertices, arrows, name=q.name)
 
 
+def cycle_walk(q: Quiver) -> list[tuple[Arrow, str]] | None:
+    """One walk around the underlying graph, when it is a single cycle through every vertex.
+
+    The walk starts at vertices[0] along its first declared incident arrow and
+    leaves every later vertex by its other incident arrow.  Returns the
+    (arrow, tail) pairs in walk order, where tail is the vertex the walk
+    leaves by that arrow, so the arrow agrees with the walk exactly when
+    arrow.src == tail.  Returns None for any other underlying graph.
+    """
+    if len(q.arrows) != len(q.vertices):
+        return None
+    incident: dict[str, list[Arrow]] = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        incident[a.src].append(a)
+        if a.dst != a.src:
+            incident[a.dst].append(a)
+    walk, used, v = [], set(), q.vertices[0]
+    for _ in q.arrows:
+        nxt = [a for a in incident[v] if a.name not in used]
+        if not nxt:
+            return None
+        walk.append((nxt[0], v))
+        used.add(nxt[0].name)
+        v = nxt[0].dst if nxt[0].src == v else nxt[0].src
+    if v != q.vertices[0] or len({tail for _, tail in walk}) != len(q.vertices):
+        return None
+    return walk
+
+
 def is_oriented_cycle(q: Quiver) -> bool:
     """True when the quiver is a single directed cycle 1 -> 2 -> ... -> n -> 1 (any labels)."""
-    n = len(q.vertices)
-    if len(q.arrows) != n:
+    walk = cycle_walk(q)
+    if walk is None:
         return False
-    out = {v: [] for v in q.vertices}
-    inc = {v: 0 for v in q.vertices}
-    for a in q.arrows:
-        out[a.src].append(a)
-        inc[a.dst] += 1
-    if any(len(out[v]) != 1 for v in q.vertices) or any(inc[v] != 1 for v in q.vertices):
-        return False
-    # one cycle, not several: following unique successors must visit everything
-    seen = set()
-    v = q.vertices[0]
-    for _ in range(n):
-        if v in seen:
-            return False
-        seen.add(v)
-        v = out[v][0].dst
-    return v == q.vertices[0] and len(seen) == n
+    return all(a.src == tail for a, tail in walk) or all(a.src != tail for a, tail in walk)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 The forward reflection at a sink v replaces H_v by the kernel of the combined
 arrival map h_v = [f_a]_{a into v} (blocks in arrow declaration order) and
-reverses those arrows; the backward reflection at a source v replaces H_v by
-the orthogonal complement of the image of the combined departure map
-stacked(f_a) inside the direct sum of the target spaces.  Both carry homs
-along via the stored kernel bases, and both compose with duality as
-backward = dual ∘ forward ∘ dual.
+reverses those arrows.  The backward reflection at a source is derived from
+it through duality, backward = dual ∘ forward ∘ dual: the dual turns the
+source into a sink and the combined departure map into the adjoint arrival
+map, so H_v becomes the orthogonal complement of the image of the departure
+map.  Both carry homs along via the stored kernel basis.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from . import linalg
 from .config import settings
 from .errors import PreconditionError
-from .hom import HomBasis, end_basis
-from .quiver import Quiver, _label, opposite, parse_orientation, reverse_at, toggle_mark
+from .hom import end_basis
+from .quiver import _label, opposite, parse_orientation, reverse_at, toggle_mark
 from .rep import Hom, Rep, hom_compose, make_hom, new_rep
 
 
@@ -36,80 +36,66 @@ class ReflectionResult:
     block_offsets: tuple[int, ...]
 
 
-def _stacked_blocks(r: Rep, arrows, pick_vertex):
-    verts = tuple(pick_vertex(a) for a in arrows)
+def _arrival_map(r: Rep, v: str):
+    """The arrows into the sink v and their combined arrival map [f_a]."""
+    if r.quiver.arrows_out_of(v):
+        raise PreconditionError(
+            f"vertex {v!r} is not a sink; the forward reflection is defined only at a sink"
+        )
+    arrows = r.quiver.arrows_into(v)
+    if not arrows:
+        return arrows, np.zeros((r.dims[v], 0), dtype=complex)
+    return arrows, np.hstack([r.mats[a.name] for a in arrows])
+
+
+def _require_source(r: Rep, v: str):
+    if r.quiver.arrows_into(v):
+        raise PreconditionError(
+            f"vertex {v!r} is not a source; the backward reflection is defined only at a source"
+        )
+
+
+def _stacked_blocks(r: Rep, arrows):
+    """Source vertex and row offset of each arrow's block in the stacked space."""
+    verts = tuple(a.src for a in arrows)
     offsets, pos = [], 0
-    for v in verts:
+    for u in verts:
         offsets.append(pos)
-        pos += r.dims[v]
-    return verts, tuple(offsets), pos
+        pos += r.dims[u]
+    return verts, tuple(offsets)
 
 
 def reflect_sink(r: Rep, v) -> ReflectionResult:
     """Forward reflection at a sink."""
     v = _label(v)
     q = r.quiver
-    if q.arrows_out_of(v):
-        raise PreconditionError(
-            f"vertex {v!r} is not a sink; the forward reflection is defined only at a sink"
-        )
-    arrows = q.arrows_into(v)
-    verts, offsets, total = _stacked_blocks(r, arrows, lambda a: a.src)
-    h = (
-        np.hstack([r.mats[a.name] for a in arrows])
-        if arrows
-        else np.zeros((r.dims[v], 0), dtype=complex)
-    )
+    arrows, h = _arrival_map(r, v)
+    verts, offsets = _stacked_blocks(r, arrows)
     kernel = linalg.nullspace(h)  # total x k
-    k = kernel.shape[1]
 
-    new_q = reverse_at(q, v, "sink")
     dims = dict(r.dims)
-    dims[v] = k
-    mats = {}
+    dims[v] = kernel.shape[1]
     reversed_names = {a.name for a in arrows}
-    for a in q.arrows:
-        if a.name not in reversed_names:
-            mats[a.name] = r.mats[a.name]
+    mats = {a.name: r.mats[a.name] for a in q.arrows if a.name not in reversed_names}
     for a, off in zip(arrows, offsets):
         # reversed arrow v -> src(a): rows of the kernel basis belonging to src(a)
         mats[toggle_mark(a.name)] = kernel[off : off + r.dims[a.src], :]
-    out = new_rep(new_q, dims, mats)
+    out = new_rep(reverse_at(q, v, "sink"), dims, mats)
     return ReflectionResult(out, r, v, "sink", kernel, verts, offsets)
 
 
 def reflect_source(r: Rep, v) -> ReflectionResult:
-    """Backward reflection at a source."""
-    v = _label(v)
-    q = r.quiver
-    if q.arrows_into(v):
-        raise PreconditionError(
-            f"vertex {v!r} is not a source; the backward reflection is defined only at a source"
-        )
-    arrows = q.arrows_out_of(v)
-    verts, offsets, total = _stacked_blocks(r, arrows, lambda a: a.dst)
-    hhat = (
-        np.vstack([r.mats[a.name] for a in arrows])
-        if arrows
-        else np.zeros((0, r.dims[v]), dtype=complex)
-    )
-    # orthogonal complement of the image inside the stacked target space
-    kernel = linalg.nullspace(hhat.conj().T)  # total x k
-    k = kernel.shape[1]
+    """Backward reflection at a source: dual ∘ reflect_sink ∘ dual.
 
-    new_q = reverse_at(q, v, "source")
-    dims = dict(r.dims)
-    dims[v] = k
-    mats = {}
-    reversed_names = {a.name for a in arrows}
-    for a in q.arrows:
-        if a.name not in reversed_names:
-            mats[a.name] = r.mats[a.name]
-    for a, off in zip(arrows, offsets):
-        # reversed arrow dst(a) -> v: adjoint of the kernel-basis block at dst(a)
-        mats[toggle_mark(a.name)] = kernel[off : off + r.dims[a.dst], :].conj().T
-    out = new_rep(new_q, dims, mats)
-    return ReflectionResult(out, r, v, "source", kernel, verts, offsets)
+    The kernel basis and the block layout are those of the forward reflection
+    of the dual, which live in the same stacked space of the targets.
+    """
+    v = _label(v)
+    _require_source(r, v)
+    res = reflect_sink(dual(r), v)
+    return ReflectionResult(
+        dual(res.rep), r, v, "source", res.kernel_basis, res.block_vertices, res.block_offsets
+    )
 
 
 def dual(r: Rep) -> Rep:
@@ -155,45 +141,14 @@ def transport_hom(res1: ReflectionResult, res2: ReflectionResult, t: Hom) -> Hom
 def is_full_at_sink(r: Rep, v) -> bool:
     """rank of the combined arrival map equals dim H_v."""
     v = _label(v)
-    if r.quiver.arrows_out_of(v):
-        raise PreconditionError(f"vertex {v!r} is not a sink")
-    arrows = r.quiver.arrows_into(v)
-    h = (
-        np.hstack([r.mats[a.name] for a in arrows])
-        if arrows
-        else np.zeros((r.dims[v], 0), dtype=complex)
-    )
-    return linalg.matrix_rank(h) == r.dims[v]
+    return linalg.matrix_rank(_arrival_map(r, v)[1]) == r.dims[v]
 
 
 def is_co_full_at_source(r: Rep, v) -> bool:
-    """rank of the combined departure map equals dim H_v."""
+    """rank of the combined departure map equals dim H_v (fullness of the dual)."""
     v = _label(v)
-    if r.quiver.arrows_into(v):
-        raise PreconditionError(f"vertex {v!r} is not a source")
-    arrows = r.quiver.arrows_out_of(v)
-    hhat = (
-        np.vstack([r.mats[a.name] for a in arrows])
-        if arrows
-        else np.zeros((0, r.dims[v]), dtype=complex)
-    )
-    return linalg.matrix_rank(hhat) == r.dims[v]
-
-
-def is_closed_at_sink(r: Rep, v) -> bool:
-    """Always true in finite dimension: sums of subspaces are closed."""
-    v = _label(v)
-    if r.quiver.arrows_out_of(v):
-        raise PreconditionError(f"vertex {v!r} is not a sink")
-    return True
-
-
-def is_co_closed_at_source(r: Rep, v) -> bool:
-    """Always true in finite dimension: intersections of kernels are closed."""
-    v = _label(v)
-    if r.quiver.arrows_into(v):
-        raise PreconditionError(f"vertex {v!r} is not a source")
-    return True
+    _require_source(r, v)
+    return is_full_at_sink(dual(r), v)
 
 
 # ---------------------------------------------------------------------------

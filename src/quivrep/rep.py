@@ -220,6 +220,19 @@ def is_invertible_hom(h: Hom, tol: float | None = None) -> bool:
     return all(linalg.is_invertible(h.mats[v], tol) for v in h.source.quiver.vertices)
 
 
+def idempotent_defects(e: Hom) -> tuple[float, float]:
+    """(max over vertices of |e_v^2 - e_v|, |e - 1|) for an endomorphism e."""
+    vertices = e.source.quiver.vertices
+    sq_defect = max(
+        (float(np.linalg.norm(e.mats[v] @ e.mats[v] - e.mats[v])) for v in vertices),
+        default=0.0,
+    )
+    id_defect = float(
+        np.sqrt(sum(np.linalg.norm(e.mats[v] - np.eye(e.source.dims[v])) ** 2 for v in vertices))
+    )
+    return sq_defect, id_defect
+
+
 class Decomposition(NamedTuple):
     first: Rep
     second: Rep
@@ -234,25 +247,13 @@ def decompose_with(r: Rep, e: Hom) -> Decomposition:
     basis-assembly isomorphism direct_sum(range, kernel) -> r.
     """
     tol = settings.idem_tol
-    sq_defect = max(
-        (float(np.linalg.norm(e.mats[v] @ e.mats[v] - e.mats[v])) for v in r.quiver.vertices),
-        default=0.0,
-    )
+    sq_defect, id_defect = idempotent_defects(e)
     if sq_defect > tol:
         raise PreconditionError(f"not an idempotent: |e^2 - e| = {sq_defect:.3e} > {tol:g}")
     if e.residual > tol:
         raise PreconditionError(f"not an endomorphism: intertwining residual {e.residual:.3e} > {tol:g}")
-    total = e.norm()
-    if total <= tol:
+    if e.norm() <= tol:
         raise PreconditionError("e = 0 splits nothing; a nontrivial idempotent is required")
-    id_defect = float(
-        np.sqrt(
-            sum(
-                np.linalg.norm(e.mats[v] - np.eye(r.dims[v])) ** 2
-                for v in r.quiver.vertices
-            )
-        )
-    )
     if id_defect <= tol:
         raise PreconditionError("e = 1 splits nothing; a nontrivial idempotent is required")
 

@@ -14,6 +14,7 @@ import numpy as np
 from . import builders, cyclic, hom, opmodels, reflection, rep
 from .quiver import kronecker_quiver, new_quiver
 from .rep import new_rep
+from .textio import fmt_real
 
 
 @dataclass
@@ -21,12 +22,6 @@ class Check:
     name: str
     ok: bool
     detail: str
-
-
-def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(float(x))
 
 
 def _random_mats(q, dims, rng):
@@ -70,7 +65,7 @@ def suite_reflection(trials: int, seed: int) -> list[Check]:
                     rep_report.max_membership_residual)
         ok = ok and rep_report.ok
     checks.append(Check("kronecker sink reflection preserves End", ok,
-                        f"trials={trials} max_residual={_fmt(worst)}"))
+                        f"trials={trials} max_residual={fmt_real(worst)}"))
 
     star = _dtilde4_star()
     worst = 0.0
@@ -92,7 +87,7 @@ def suite_reflection(trials: int, seed: int) -> list[Check]:
                     rep_report.max_membership_residual)
         ok = ok and rep_report.ok
     checks.append(Check("four-leaf star sink reflection preserves End", ok and used > 0,
-                        f"instances={used} max_residual={_fmt(worst)}"))
+                        f"instances={used} max_residual={fmt_real(worst)}"))
 
     ok = True
     good = 0
@@ -139,7 +134,7 @@ def suite_reflection(trials: int, seed: int) -> list[Check]:
                 worst = max(worst, float(np.linalg.norm(t.mat(v) - np.eye(d))))
         ok = ok and worst <= 1e-10
     checks.append(Check("transport carries identity to identity", ok,
-                        f"max_defect={_fmt(worst)}"))
+                        f"max_defect={fmt_real(worst)}"))
     return checks
 
 
@@ -265,7 +260,7 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
     s = np.linalg.svd(pair.a, compute_uv=False)
     ok = bool(s[-1] > 1e-12 * s[0])
     checks.append(Check("shift-plus-rank-one operator has trivial kernel", ok,
-                        f"sigma_min={_fmt(float(s[-1]))}"))
+                        f"sigma_min={fmt_real(float(s[-1]))}"))
 
     aseq, bseq = opmodels.parity_weight_pair(3.0)
     pair = opmodels.kron_pair_bilateral(aseq, bseq, 4)
@@ -274,7 +269,7 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
     zero = opmodels.log_mk(aseq, bseq, -2, -2, 8)
     ok = bool(sa[-1] > 0) and rank_b == pair.n - 1 and zero == 0.0
     checks.append(Check("bilateral window keeps the diagonal invertible", ok,
-                        f"rank_b={rank_b} log_mk_equal_args={_fmt(zero)}"))
+                        f"rank_b={rank_b} log_mk_equal_args={fmt_real(zero)}"))
 
     si = opmodels.is_strongly_irreducible(opmodels.jordan_block(3), seed=seed)
     sr = opmodels.is_strongly_irreducible(np.diag([1.0, 2.0]), seed=seed)
@@ -287,7 +282,7 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
     basis = opmodels.subspace_system_end(hs)
     ok = basis.dim >= 1 and basis.max_residual <= 1e-8
     checks.append(Check("factorial-weight system End computes cleanly", ok,
-                        f"dim={basis.dim} residual={_fmt(float(basis.max_residual))}"))
+                        f"dim={basis.dim} residual={fmt_real(float(basis.max_residual))}"))
     return checks
 
 

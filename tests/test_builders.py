@@ -5,7 +5,7 @@ import unittest
 import numpy as np
 
 from quivrep import (
-    SubspaceRepSpec,
+    SubspaceSystem,
     build_an_tilde_noncyclic,
     build_extended_dynkin,
     commutant_basis,
@@ -130,50 +130,38 @@ class DirectSubspaceSpecs(unittest.TestCase):
 
     def test_all_ambient_gives_identity_matrices(self):
         eye = np.eye(3, dtype=complex)
-        spec = SubspaceRepSpec(
-            ambient=3,
-            subspaces={"H": eye},
-            quiver=self._star_quiver(),
-            vertex_subspaces={"1": "H", "2": "H", "3": "H"},
+        rep = subspace_inclusion_rep(
+            SubspaceSystem(3, [eye], ("H",)),
+            self._star_quiver(),
+            {"1": "H", "2": "H", "3": "H"},
         )
-        rep = subspace_inclusion_rep(spec)
         for name in ("a1", "a2"):
             self.assertTrue(np.array_equal(rep.mats[name], eye))
 
     def test_proper_inclusion_matrices_are_coordinates(self):
         eye = np.eye(2, dtype=complex)
-        spec = SubspaceRepSpec(
-            ambient=2,
-            subspaces={"X": eye[:, :1], "Y": eye[:, 1:], "H": eye},
-            quiver=self._star_quiver(),
-            vertex_subspaces={"1": "X", "2": "Y", "3": "H"},
+        rep = subspace_inclusion_rep(
+            SubspaceSystem(2, [eye[:, :1], eye[:, 1:], eye], ("X", "Y", "H")),
+            self._star_quiver(),
+            {"1": "X", "2": "Y", "3": "H"},
         )
-        rep = subspace_inclusion_rep(spec)
         self.assertEqual(rep.dims, {"1": 1, "2": 1, "3": 2})
         self.assertTrue(np.array_equal(rep.mats["a1"], eye[:, :1]))
         self.assertTrue(np.array_equal(rep.mats["a2"], eye[:, 1:]))
 
     def test_non_nested_subspaces_rejected(self):
         eye = np.eye(2, dtype=complex)
-        spec = SubspaceRepSpec(
-            ambient=2,
-            subspaces={"X": eye[:, :1], "Y": eye[:, 1:]},
-            quiver=new_quiver(["1", "2"], [("a", "1", "2")]),
-            vertex_subspaces={"1": "X", "2": "Y"},
-        )
         with self.assertRaises(PreconditionError):
-            subspace_inclusion_rep(spec)
+            subspace_inclusion_rep(
+                SubspaceSystem(2, [eye[:, :1], eye[:, 1:]], ("X", "Y")),
+                new_quiver(["1", "2"], [("a", "1", "2")]),
+                {"1": "X", "2": "Y"},
+            )
 
     def test_non_orthonormal_subspace_rejected(self):
         bad = np.array([[1.0], [1.0]], dtype=complex)
-        spec = SubspaceRepSpec(
-            ambient=2,
-            subspaces={"X": bad, "H": np.eye(2, dtype=complex)},
-            quiver=new_quiver(["1", "2"], [("a", "1", "2")]),
-            vertex_subspaces={"1": "X", "2": "H"},
-        )
         with self.assertRaises(ValueError):
-            subspace_inclusion_rep(spec)
+            SubspaceSystem(2, [bad, np.eye(2, dtype=complex)], ("X", "H"))
 
     def test_four_subspace_spec_of_jordan_pair(self):
         # the star representation on E1..E4 of the pair (J_2, I) has End = commutant
@@ -185,13 +173,8 @@ class DirectSubspaceSpecs(unittest.TestCase):
             [(f"a{i}", str(i), "5") for i in range(1, 5)],
             name="R4",
         )
-        spec = SubspaceRepSpec(
-            ambient=4,
-            subspaces={lbl: j for lbl, j in zip(sys4.labels, sys4.injections)} | {"H": np.eye(4, dtype=complex)},
-            quiver=q,
-            vertex_subspaces={"1": "E1", "2": "E2", "3": "E3", "4": "E4", "5": "H"},
-        )
-        rep = subspace_inclusion_rep(spec)
+        system = SubspaceSystem(4, sys4.injections + [np.eye(4, dtype=complex)], sys4.labels + ("H",))
+        rep = subspace_inclusion_rep(system, q, {"1": "E1", "2": "E2", "3": "E3", "4": "E4", "5": "H"})
         self.assertEqual(end_basis(rep).dim, 2)
 
 

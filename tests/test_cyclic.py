@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quivrep as qr
+from quivrep.linalg import connected_components
 
 
 def _instances(n):
@@ -81,6 +82,18 @@ def test_components_of_fully_supported_chain():
 def test_components_all_isolated():
     r = qr.cycle_rep([1, 1, 1], [0.0, 0.0, 0.0])
     assert qr.hf_components(r) == [(1,), (2,), (3,)]
+
+
+def test_components_follow_a_cycle_declared_against_its_arrows():
+    q = qr.new_quiver(["1", "2", "3"], [("x", "3", "1"), ("y", "1", "2"), ("z", "2", "3")])
+    r = qr.new_rep(q, {"1": 1, "2": 1, "3": 1}, {"x": [[0.0]], "y": [[2.0]], "z": [[0.0]]})
+    assert qr.hf_components(r) == [(1, 2), (3,)]
+
+
+def test_connected_components_order():
+    assert connected_components(0, []) == []
+    assert connected_components(3, []) == [[0], [1], [2]]
+    assert connected_components(5, [(4, 1), (3, 0)]) == [[0, 3], [1, 4], [2]]
 
 
 def test_components_use_the_wrap_around_arrow():

@@ -27,7 +27,6 @@ from quivrep import (
 from quivrep.errors import PreconditionError
 from quivrep.hom import end_basis
 from quivrep.opmodels import (
-    bilateral_shift,
     diag_of,
     hrr_log_weight,
     parity_weight_pair,
@@ -54,6 +53,9 @@ from quivrep.opmodels import (
         "seq:list:[1,0.5,2]",
         "seq:list:[0]:reciprocal",
         "seq:list:[1,2]:const:3",
+        "seq:const:1.5-2j",
+        "seq:const:-0.5j",
+        "seq:list:[1,2.5+1j]:one-minus-pow:3",
     ],
 )
 def test_sequence_literal_round_trip(literal):
@@ -135,7 +137,7 @@ def test_fixture_matrices():
     s = unilateral_shift(3)
     e1 = np.eye(3, dtype=complex)[:, 0]
     assert np.array_equal(s @ e1, np.eye(3, dtype=complex)[:, 1])
-    assert np.array_equal(s, bilateral_shift(3))
+    assert np.array_equal(s, make_fixture("bilateral_shift", n=3))
 
     assert np.array_equal(jordan_block(2), np.array([[0, 0], [1, 0]], dtype=complex))
     j = jordan_block(3, 2.0)

@@ -4,6 +4,7 @@ import pytest
 
 import quivrep as qr
 from quivrep.quiver import (
+    cycle_walk,
     graph_family,
     parse_orientation,
     reverse_at,
@@ -82,6 +83,34 @@ def test_oriented_cycle_detection():
     assert not qr.is_oriented_cycle(qr.kronecker_quiver())
     mixed = qr.new_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2"), ("c", "3", "1")])
     assert not qr.is_oriented_cycle(mixed)
+    assert qr.is_oriented_cycle(qr.jordan_quiver())
+    reverse_declared = qr.new_quiver(["1", "2", "3"], [("x", "3", "1"), ("y", "1", "2"), ("z", "2", "3")])
+    assert qr.is_oriented_cycle(reverse_declared)
+    two_loops = qr.new_quiver(["1", "2"], [("a", "1", "1"), ("b", "2", "2")])
+    assert not qr.is_oriented_cycle(two_loops)
+    with_isolated = qr.new_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "1")])
+    assert not qr.is_oriented_cycle(with_isolated)
+
+
+def _walk_names(q):
+    walk = cycle_walk(q)
+    return None if walk is None else [(a.name, tail) for a, tail in walk]
+
+
+def test_cycle_walk_follows_first_declared_arrow():
+    assert _walk_names(qr.jordan_quiver()) == [("a", "1")]
+    assert _walk_names(qr.cycle_quiver(2)) == [("a1", "1"), ("a2", "2")]
+    # x: 3 -> 1 is the first arrow at vertex 1, so the walk runs against the arrows
+    reverse_declared = qr.new_quiver(["1", "2", "3"], [("x", "3", "1"), ("y", "1", "2"), ("z", "2", "3")])
+    assert _walk_names(reverse_declared) == [("x", "1"), ("z", "3"), ("y", "2")]
+    assert _walk_names(qr.kronecker_quiver()) == [("a", "1"), ("b", "2")]
+    assert _walk_names(qr.new_quiver(["1", "2"], [("a", "1", "1"), ("b", "2", "2")])) is None
+    assert _walk_names(qr.new_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "1")])) is None
+    # a 2-cycle plus a loop has as many arrows as vertices but misses vertex 3
+    assert _walk_names(
+        qr.new_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1")])
+    ) is None
+    assert _walk_names(qr.an_quiver(3)) is None
 
 
 # ------------------------------------------------------- shape recognition

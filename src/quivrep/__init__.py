@@ -7,7 +7,6 @@ criteria on one-way cycles, operator-pair models and subspace systems, and
 builders for the extended Dynkin subspace families.
 """
 
-from .config import Settings, settings
 from .errors import ParseError, PreconditionError
 from .quiver import (
     Arrow,

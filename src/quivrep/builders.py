@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .config import settings
+from .config import TOL
 from .errors import PreconditionError
 from .opmodels import SubspaceSystem
 from .quiver import Quiver, cycle_walk, graph_family, is_oriented_cycle, new_quiver
@@ -30,7 +30,7 @@ def subspace_inclusion_rep(
     """Check the inclusions and produce the representation of coordinate matrices.
 
     `vertex_subspaces` labels every vertex with one of the system's subspaces.
-    An arrow u -> v needs S_u <= S_v, i.e. |(1 - P_v) J_u| <= tol; the arrow
+    An arrow u -> v needs S_u <= S_v, i.e. |(1 - P_v) J_u| <= TOL; the arrow
     matrix is then J_v* J_u.
     """
     subspaces = dict(zip(system.labels, system.injections))
@@ -47,7 +47,7 @@ def subspace_inclusion_rep(
         js, jt = subspaces[s_name], subspaces[t_name]
         if js.shape[1]:
             defect = np.linalg.norm(js - jt @ (jt.conj().T @ js))
-            if defect > settings.tol * max(1.0, np.linalg.norm(js)):
+            if defect > TOL.get() * max(1.0, np.linalg.norm(js)):
                 raise PreconditionError(
                     f"arrow {a.name!r}: subspace {s_name!r} is not contained in {t_name!r} "
                     f"(defect {defect:.2e}); inclusion arrows need nested subspaces"

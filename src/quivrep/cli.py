@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import builders, cyclic, hom, opmodels, reflection, textio, verify
-from .config import settings
+from .config import TOL
 from .errors import ParseError, PreconditionError
 from .quiver import kronecker_quiver
 from .textio import fmt_real
@@ -121,7 +121,7 @@ def _read(path: str) -> str:
 
 
 def _base_report(args, echo: str) -> dict:
-    return {"command": echo, "tol": settings.tol, "seed": args.seed}
+    return {"command": echo, "tol": TOL.get(), "seed": args.seed}
 
 
 # ---------------------------------------------------------------- commands
@@ -207,11 +207,10 @@ def _cmd_build(args, echo):
         report["arrow_b"] = built.arrow_b
     else:
         r = builders.build_extended_dynkin(args.family, op)
-    eb = hom.end_basis(r)
     verdict = hom.is_indecomposable(r, seed=args.seed)
     report.update(
         dims={v: r.dim(v) for v in r.quiver.vertices},
-        end_dim=eb.dim,
+        end_dim=verdict.end_dim,
         indecomposable=verdict.indecomposable,
         verdict=verdict.kind,
         rep=textio.format_rep(r).rstrip("\n"),
@@ -349,7 +348,7 @@ def run(argv=None) -> int:
     if not (args.tol > 0):
         print("error: --tol must be positive", file=sys.stderr)
         return 2
-    saved_tol, settings.tol = settings.tol, args.tol
+    token = TOL.set(args.tol)
     echo = " ".join(argv)
     try:
         report, code = _COMMANDS[args.command](args, echo)
@@ -369,7 +368,7 @@ def run(argv=None) -> int:
         print(f"error: a value leaves the double-precision range ({e})", file=sys.stderr)
         return 3
     finally:
-        settings.tol = saved_tol
+        TOL.reset(token)
     print(render_report(report, args.fmt))
     return code
 

@@ -1,23 +1,17 @@
-"""Global numeric settings: tolerances, thresholds, trial counts."""
+"""Numerical policy: fixed thresholds and the one scoped tolerance."""
 
-from dataclasses import dataclass
+from contextvars import ContextVar
 
-
-@dataclass
-class Settings:
-    # Relative tolerance for invertibility tests, nonzero-scalar tests and
-    # subspace inclusion checks.
-    tol: float = 1e-9
-    # Nullspace / rank cutoff: a singular value counts as zero when it is
-    # <= sigma_max * max(rows, cols) * svd_factor.
-    svd_factor: float = 2.0**-40
-    # Eigenvalue clusters are merged while closer than cluster_gap * spectral radius.
-    cluster_gap: float = 1e-6
-    # Acceptance threshold for idempotent residuals and End-membership residuals.
-    idem_tol: float = 1e-8
-    # Random draws before the idempotent / isomorphism searches give up.
-    idem_trials: int = 8
-    iso_trials: int = 8
-
-
-settings = Settings()
+# Relative tolerance for invertibility tests, nonzero-scalar tests and
+# subspace inclusion checks.  `quivrep --tol` sets it for one command.
+TOL: ContextVar[float] = ContextVar("TOL", default=1e-9)
+# Nullspace / rank cutoff: a singular value counts as zero when it is
+# <= sigma_max * max(rows, cols) * SVD_FACTOR.
+SVD_FACTOR = 2.0**-40
+# Eigenvalue clusters are merged while closer than CLUSTER_GAP * spectral radius.
+CLUSTER_GAP = 1e-6
+# Acceptance threshold for idempotent residuals and End-membership residuals.
+IDEM_TOL = 1e-8
+# Random draws before the idempotent / isomorphism searches give up.
+IDEM_TRIALS = 8
+ISO_TRIALS = 8

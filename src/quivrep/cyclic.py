@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import settings
+from .config import TOL
 from .errors import PreconditionError
 from .linalg import connected_components
 from .quiver import Quiver, cycle_walk, is_oriented_cycle, new_quiver
@@ -66,7 +66,7 @@ def _cycle_order(q: Quiver) -> tuple[list[str], list[str]]:
     return [a.src for a in arrows], [a.name for a in arrows]
 
 
-def hf_components(r: Rep, tol: float | None = None) -> list[tuple[int, ...]]:
+def hf_components(r: Rep) -> list[tuple[int, ...]]:
     """Partition of the nonzero positions of a dims<=1 cycle representation.
 
     Positions i, j (1-based along the cycle) are related when some chain of
@@ -82,7 +82,7 @@ def hf_components(r: Rep, tol: float | None = None) -> list[tuple[int, ...]]:
         )
     if any(r.dims[v] > 1 for v in order_v):
         raise PreconditionError("the component relation is defined for dims 0 and 1 only")
-    t = settings.tol if tol is None else tol
+    t = TOL.get()
     live = [r.dims[v] == 1 for v in order_v]
     edges = [
         (i, (i + 1) % n)
@@ -93,7 +93,7 @@ def hf_components(r: Rep, tol: float | None = None) -> list[tuple[int, ...]]:
     return sorted(tuple(p + 1 for p in comp) for comp in comps if live[comp[0]])
 
 
-def cn_transitive_criterion(r: Rep, tol: float | None = None) -> bool:
+def cn_transitive_criterion(r: Rep) -> bool:
     """Scalar-level transitivity test on an oriented cycle.
 
     False whenever some dimension exceeds 1 or all dimensions vanish; otherwise
@@ -108,7 +108,7 @@ def cn_transitive_criterion(r: Rep, tol: float | None = None) -> bool:
         return False
     if all(r.dims[v] == 0 for v in order_v):
         return False
-    return len(hf_components(r, tol)) == 1
+    return len(hf_components(r)) == 1
 
 
 def reduce_zero_vertex(r: Rep, k: int) -> Rep:

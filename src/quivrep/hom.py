@@ -7,13 +7,13 @@ blocks (vertices in quiver order, matrices flattened row-major).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .config import settings
+from .config import IDEM_TOL, IDEM_TRIALS, ISO_TRIALS
 from .errors import PreconditionError
 from .rep import Hom, Rep, hom_compose, hom_lincomb, idempotent_defects, is_invertible_hom, make_hom
 
@@ -117,7 +117,7 @@ def _random_end_element(eb: HomBasis, rng: np.random.Generator) -> Hom:
     return hom_lincomb(c, eb.basis)
 
 
-def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0, trials: int | None = None) -> Hom | None:
+def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
     """Search End for an idempotent other than 0 and 1.
 
     Draws random elements T of the algebra, clusters the joint spectrum of the
@@ -130,12 +130,11 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0, trials: int | None =
         raise ValueError("idempotent search needs an endomorphism basis")
     if eb.dim <= 1:
         return None
-    trials = settings.idem_trials if trials is None else trials
     rng = np.random.default_rng(seed)
     r = eb.source
     live = [v for v in r.quiver.vertices if r.dims[v] > 0]
 
-    for _ in range(trials):
+    for _ in range(IDEM_TRIALS):
         t = _random_end_element(eb, rng)
         try:
             vertex_eigs = {v: np.linalg.eigvals(t.mats[v]) for v in live}
@@ -159,9 +158,9 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0, trials: int | None =
             continue
         p = make_hom(r, r, proj)
         sq_defect, id_defect = idempotent_defects(p)
-        if sq_defect > settings.idem_tol or p.residual > settings.idem_tol:
+        if sq_defect > IDEM_TOL or p.residual > IDEM_TOL:
             continue
-        if p.norm() <= settings.idem_tol or id_defect <= settings.idem_tol:
+        if p.norm() <= IDEM_TOL or id_defect <= IDEM_TOL:
             continue
         return p
     return None
@@ -173,14 +172,13 @@ class IndecomposabilityVerdict:
     end_dim: int
     witness: Hom | None = None
     trials_used: int = 0
-    cluster_gap: float = field(default_factory=lambda: settings.cluster_gap)
 
     @property
     def indecomposable(self) -> bool:
         return self.kind == "indecomposable"
 
 
-def is_indecomposable(r: Rep, seed: int = 0, trials: int | None = None) -> IndecomposabilityVerdict:
+def is_indecomposable(r: Rep, seed: int = 0) -> IndecomposabilityVerdict:
     """Decide indecomposability: End contains no idempotent besides 0 and 1.
 
     dim End = 1 is conclusive; otherwise the verdict rests on the randomized
@@ -191,17 +189,16 @@ def is_indecomposable(r: Rep, seed: int = 0, trials: int | None = None) -> Indec
     eb = end_basis(r)
     if eb.dim == 1:
         return IndecomposabilityVerdict("indecomposable", 1)
-    trials = settings.idem_trials if trials is None else trials
-    witness = find_nontrivial_idempotent(eb, seed=seed, trials=trials)
+    witness = find_nontrivial_idempotent(eb, seed=seed)
     if witness is not None:
-        return IndecomposabilityVerdict("decomposable", eb.dim, witness, trials)
-    return IndecomposabilityVerdict("indecomposable", eb.dim, None, trials)
+        return IndecomposabilityVerdict("decomposable", eb.dim, witness, IDEM_TRIALS)
+    return IndecomposabilityVerdict("indecomposable", eb.dim, None, IDEM_TRIALS)
 
 
-def find_isomorphism(r1: Rep, r2: Rep, seed: int = 0, trials: int | None = None) -> Hom | None:
+def find_isomorphism(r1: Rep, r2: Rep, seed: int = 0) -> Hom | None:
     """Random search for an isomorphism r1 -> r2 inside Hom(r1, r2).
 
-    Returns a Hom whose blocks are all invertible (sigma_min > tol * sigma_max;
+    Returns a Hom whose blocks are all invertible (sigma_min > TOL * sigma_max;
     empty blocks count as invertible), or None.  None is conclusive when the
     dimension vectors differ or Hom is zero; otherwise it is a sampling verdict.
     """
@@ -212,9 +209,8 @@ def find_isomorphism(r1: Rep, r2: Rep, seed: int = 0, trials: int | None = None)
     hb = hom_basis(r1, r2)
     if hb.dim == 0:
         return None if r1.total_dim else make_hom(r1, r2, {})
-    trials = settings.iso_trials if trials is None else trials
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(ISO_TRIALS):
         c = rng.standard_normal(hb.dim) + 1j * rng.standard_normal(hb.dim)
         t = hom_lincomb(c, hb.basis)
         if is_invertible_hom(t):

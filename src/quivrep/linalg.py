@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .config import settings
+from .config import CLUSTER_GAP, SVD_FACTOR, TOL
 
 
 def phase_normalize(columns: np.ndarray) -> np.ndarray:
@@ -29,7 +29,7 @@ def svd_cutoff(singular_values, shape) -> float:
     """Threshold below which a singular value counts as zero."""
     if len(singular_values) == 0:
         return 0.0
-    return float(singular_values[0]) * max(shape) * settings.svd_factor
+    return float(singular_values[0]) * max(shape) * SVD_FACTOR
 
 
 def real_if_exact(a: np.ndarray) -> np.ndarray:
@@ -87,26 +87,25 @@ def qr_orthonormalize(a) -> np.ndarray:
         return a.copy()
     q, r = np.linalg.qr(a)
     d = np.abs(np.diagonal(r))
-    if np.min(d) <= np.max(d) * settings.tol:
+    if np.min(d) <= np.max(d) * TOL.get():
         raise ValueError(
             f"columns are numerically dependent (diagonal ratio {np.min(d) / max(np.max(d), 1e-300):.2e})"
         )
     return phase_normalize(q)
 
 
-def is_invertible(a, tol: float | None = None) -> bool:
-    """Square matrix invertibility via sigma_min > tol * sigma_max; 0x0 counts as invertible."""
+def is_invertible(a) -> bool:
+    """Square matrix invertibility via sigma_min > TOL * sigma_max; 0x0 counts as invertible."""
     a = np.asarray(a)
     n, m = a.shape
     if n != m:
         return False
     if n == 0:
         return True
-    t = settings.tol if tol is None else tol
     s = np.linalg.svd(real_if_exact(a), compute_uv=False)
     if s[0] == 0.0:
         return False
-    return bool(s[-1] > t * s[0])
+    return bool(s[-1] > TOL.get() * s[0])
 
 
 def left_mult_matrix(c, ncols: int) -> np.ndarray:
@@ -144,11 +143,11 @@ def connected_components(n: int, edges) -> list[list[int]]:
     return list(groups.values())
 
 
-def cluster_eigenvalues(eigs, rel_gap: float | None = None) -> list[list[int]]:
+def cluster_eigenvalues(eigs) -> list[list[int]]:
     """Single-linkage clusters of complex eigenvalues.
 
     Two eigenvalues join the same cluster when their distance is at most
-    rel_gap * spectral radius.  A zero spectral radius yields one cluster.
+    CLUSTER_GAP * spectral radius.  A zero spectral radius yields one cluster.
     Clusters are returned ordered by their lexicographically smallest member
     (real part, then imaginary part); each cluster lists member indices.
     """
@@ -156,7 +155,7 @@ def cluster_eigenvalues(eigs, rel_gap: float | None = None) -> list[list[int]]:
     m = len(eigs)
     if m == 0:
         return []
-    gap = (settings.cluster_gap if rel_gap is None else rel_gap) * float(np.max(np.abs(eigs)))
+    gap = CLUSTER_GAP * float(np.max(np.abs(eigs)))
 
     edges = ((i, j) for i in range(m) for j in range(i + 1, m) if abs(eigs[i] - eigs[j]) <= gap)
     groups = connected_components(m, edges)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .config import settings
+from .config import SVD_FACTOR
 from .errors import PreconditionError
 from .hom import end_basis, is_indecomposable
 from .quiver import jordan_quiver, kronecker_quiver, new_quiver
@@ -92,7 +92,11 @@ class SequenceSpec:
         raise ValueError(f"explicit list of length {len(self.values)} has no entry at n = {n} and no tail")
 
     def log_abs(self, n: int) -> float:
-        """log |value(n)|; -inf marks an exact zero.  Never overflows for hrr-sized n."""
+        """log |value(n)|; -inf marks a zero.  Never overflows.
+
+        Where the log itself leaves the double range it saturates: hrr to
+        +-inf once n! does, exp-neg-pow to -inf once lam**n does.
+        """
         if self.family == "reciprocal":
             if n < 1:
                 raise ValueError(f"reciprocal is defined for n >= 1, got n = {n}")
@@ -102,7 +106,12 @@ class SequenceSpec:
                 raise ValueError(f"one-minus-pow is defined for n >= 1, got n = {n}")
             return math.log1p(-(self.base ** (-n)))
         if self.family == "exp-neg-pow":
-            return -(self.lam**n) if self._masked(n) else 0.0
+            if not self._masked(n):
+                return 0.0
+            try:
+                return -(float(self.lam) ** n)
+            except OverflowError:
+                return -math.inf
         if self.family == "hrr":
             if n <= 0:
                 return 0.0
@@ -512,7 +521,7 @@ def subspace_system_end(s: SubspaceSystem) -> SystemEndBasis:
         # the honest scale of this system is max(sigma_1, 1): a stack made of
         # nothing but projector roundoff must null out completely.
         _, sv, vh = np.linalg.svd(linalg.real_if_exact(system))
-        tol_used = max(float(sv[0]), 1.0) * max(system.shape) * settings.svd_factor
+        tol_used = max(float(sv[0]), 1.0) * max(system.shape) * SVD_FACTOR
         rank = int(np.sum(sv > tol_used))
         vectors = linalg.phase_normalize(np.asarray(vh, dtype=complex)[rank:].conj().T)
     basis = [vectors[:, j].reshape(d, d) for j in range(vectors.shape[1])]
@@ -624,7 +633,7 @@ def commutant_basis(a) -> list[np.ndarray]:
     return [h.mats["1"] for h in end_basis(_loop_rep(a)).basis]
 
 
-def is_strongly_irreducible(a, seed: int = 0, trials: int | None = None) -> StrongIrreducibilityVerdict:
+def is_strongly_irreducible(a, seed: int = 0) -> StrongIrreducibilityVerdict:
     """No nontrivial idempotent commutes with `a`.
 
     Delegates to the indecomposability of the one-loop representation with
@@ -633,7 +642,7 @@ def is_strongly_irreducible(a, seed: int = 0, trials: int | None = None) -> Stro
     r = _loop_rep(a)
     if r.is_zero:
         raise PreconditionError("strong irreducibility is about operators on a nonzero space")
-    verdict = is_indecomposable(r, seed=seed, trials=trials)
+    verdict = is_indecomposable(r, seed=seed)
     witness = verdict.witness.mats["1"] if verdict.witness is not None else None
     return StrongIrreducibilityVerdict(
         verdict.kind == "indecomposable", verdict.end_dim, witness, verdict.trials_used

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
+from .linalg import connected_components
 
 REVERSAL_MARK = "~"
 
@@ -200,20 +201,9 @@ class GraphFamily:
 
 
 def _connected(q: Quiver) -> bool:
-    if not q.vertices:
-        return False
-    adj = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        adj[a.src].add(a.dst)
-        adj[a.dst].add(a.src)
-    seen = {q.vertices[0]}
-    stack = [q.vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(q.vertices)
+    index = {v: i for i, v in enumerate(q.vertices)}
+    edges = [(index[a.src], index[a.dst]) for a in q.arrows]
+    return len(connected_components(len(q.vertices), edges)) == 1
 
 
 def _arms(q: Quiver, center: str, degree: dict[str, int]) -> list[tuple[int, str]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import settings
+from .config import IDEM_TOL
 from .errors import PreconditionError
 from .hom import end_basis
 from .quiver import _label, opposite, parse_orientation, reverse_at, toggle_mark
@@ -115,20 +115,15 @@ def transport_hom(res1: ReflectionResult, res2: ReflectionResult, t: Hom) -> Hom
     if res1.vertex != res2.vertex or res1.direction != res2.direction:
         raise ValueError("transport needs reflections at the same vertex and direction")
     v = res1.vertex
-    blocks = []
-    for u, off in zip(res1.block_vertices, res1.block_offsets):
-        blocks.append(t.mats[u])
-    if blocks:
-        big = np.zeros(
-            (sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex
-        )
-        r0 = c0 = 0
-        for b in blocks:
-            big[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
-            r0 += b.shape[0]
-            c0 += b.shape[1]
-    else:
-        big = np.zeros((0, 0), dtype=complex)
+    # Assembled by hand: scipy.linalg.block_diag costs about ten times as much
+    # on small blocks, and verify_end_isomorphism transports m^2 + m homs.
+    blocks = [t.mats[u] for u in res1.block_vertices]
+    big = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex)
+    r0 = c0 = 0
+    for b in blocks:
+        big[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
+        r0 += b.shape[0]
+        c0 += b.shape[1]
     mats = {u: t.mats[u] for u in t.source.quiver.vertices if u != v}
     mats[v] = res2.kernel_basis.conj().T @ big @ res1.kernel_basis
     return make_hom(res1.rep, res2.rep, mats)
@@ -173,8 +168,8 @@ class EndIsoReport:
             self.hypothesis_ok
             and self.dims_equal
             and self.transport_full_rank
-            and self.max_membership_residual <= settings.idem_tol
-            and self.max_multiplicativity_residual <= settings.idem_tol
+            and self.max_membership_residual <= IDEM_TOL
+            and self.max_multiplicativity_residual <= IDEM_TOL
         )
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .config import settings
+from .config import IDEM_TOL
 from .errors import PreconditionError
 from .quiver import Quiver, _label
 
@@ -216,8 +216,8 @@ def hom_lincomb(coeffs, homs: list[Hom]) -> Hom:
     return make_hom(src, dst, mats)
 
 
-def is_invertible_hom(h: Hom, tol: float | None = None) -> bool:
-    return all(linalg.is_invertible(h.mats[v], tol) for v in h.source.quiver.vertices)
+def is_invertible_hom(h: Hom) -> bool:
+    return all(linalg.is_invertible(h.mats[v]) for v in h.source.quiver.vertices)
 
 
 def idempotent_defects(e: Hom) -> tuple[float, float]:
@@ -246,15 +246,14 @@ def decompose_with(r: Rep, e: Hom) -> Decomposition:
     each expressed in a deterministic orthonormal basis.  The witness is the
     basis-assembly isomorphism direct_sum(range, kernel) -> r.
     """
-    tol = settings.idem_tol
     sq_defect, id_defect = idempotent_defects(e)
-    if sq_defect > tol:
-        raise PreconditionError(f"not an idempotent: |e^2 - e| = {sq_defect:.3e} > {tol:g}")
-    if e.residual > tol:
-        raise PreconditionError(f"not an endomorphism: intertwining residual {e.residual:.3e} > {tol:g}")
-    if e.norm() <= tol:
+    if sq_defect > IDEM_TOL:
+        raise PreconditionError(f"not an idempotent: |e^2 - e| = {sq_defect:.3e} > {IDEM_TOL:g}")
+    if e.residual > IDEM_TOL:
+        raise PreconditionError(f"not an endomorphism: intertwining residual {e.residual:.3e} > {IDEM_TOL:g}")
+    if e.norm() <= IDEM_TOL:
         raise PreconditionError("e = 0 splits nothing; a nontrivial idempotent is required")
-    if id_defect <= tol:
+    if id_defect <= IDEM_TOL:
         raise PreconditionError("e = 1 splits nothing; a nontrivial idempotent is required")
 
     # Nonzero singular values of an idempotent are >= 1, so 0.5 splits cleanly.

@@ -299,10 +299,9 @@ def suite_builders(trials: int, seed: int) -> list[Check]:
         for k in (1, 2):
             s = opmodels.jordan_block(k)
             r = builders.build_extended_dynkin(fam, s)
-            eb = hom.end_basis(r)
             verdict = hom.is_indecomposable(r, seed=seed)
-            ok = ok and eb.dim == k and verdict.indecomposable
-            dims_out.append(f"k={k}:end={eb.dim}")
+            ok = ok and verdict.end_dim == k and verdict.indecomposable
+            dims_out.append(f"k={k}:end={verdict.end_dim}")
         checks.append(Check(f"{fam} with a nilpotent Jordan parameter is indecomposable",
                             ok, " ".join(dims_out)))
 

@@ -1,19 +1,7 @@
 import numpy as np
 import pytest
 
-from quivrep import new_rep
-
-
-def random_mats(q, dims, rng, scale=1.0):
-    mats = {}
-    for a in q.arrows:
-        shape = (dims[a.dst], dims[a.src])
-        mats[a.name] = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return mats
-
-
-def random_rep(q, dims, rng, scale=1.0):
-    return new_rep(q, dims, random_mats(q, dims, rng, scale))
+from quivrep.verify import _random_rep as random_rep  # noqa: F401
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from quivrep import cli, settings, verify
+from quivrep import cli, verify
+from quivrep.config import TOL
 from quivrep.textio import format_matrix
 
 KRONECKER_REP = """\
@@ -186,6 +187,19 @@ def test_opmodel_full_report(capsys):
     assert report["phi"]["surjective"] is True
 
 
+def test_opmodel_density_with_overflowing_weights(capsys):
+    code, report = run_json(
+        capsys,
+        [
+            "opmodel", "--pair", "shift-rank-one",
+            "--lambda", "seq:exp-neg-pow:3:odd", "--w", "seq:hrr", "--n", "2", "--density",
+        ],
+    )
+    assert code == 0
+    assert report["density"]["dense"] is True
+    assert report["density"]["weight_ratio_square_summable"] is False
+
+
 def test_opmodel_error_codes(capsys):
     base = ["opmodel", "--pair", "shift-rank-one", "--w", "seq:reciprocal", "--n", "4"]
     # repeated diagonal value violates the construction hypothesis
@@ -269,8 +283,37 @@ def test_weight_overflow_is_a_precondition_failure(capsys, w, n):
 
 
 def test_run_restores_the_global_tolerance(rep_file, capsys):
-    assert settings.tol == 1e-9
+    assert TOL.get() == 1e-9
     assert cli.run(["analyze", rep_file(KRONECKER_REP), "--tol", "1e-3"]) == 0
-    assert settings.tol == 1e-9
+    assert TOL.get() == 1e-9
     assert cli.run(["analyze", "/nonexistent/path.rep", "--tol", "1e-3"]) == 2
-    assert settings.tol == 1e-9
+    assert TOL.get() == 1e-9
+
+
+SMALL_ARROW_CYCLE_REP = """\
+quiver C3
+vertex 1
+vertex 2
+vertex 3
+arrow a1: 1 -> 2
+arrow a2: 2 -> 3
+arrow a3: 3 -> 1
+dim 1 = 1
+dim 2 = 1
+dim 3 = 1
+mat a1 = [[1]]
+mat a2 = [[1e-6]]
+mat a3 = [[0]]
+"""
+
+
+def test_tol_reaches_the_cycle_criterion(rep_file, capsys):
+    path = rep_file(SMALL_ARROW_CYCLE_REP)
+    code, report = run_json(capsys, ["cycle", path])
+    assert code == 0
+    assert report["criterion"] is True and report["agree"] is True
+    code, report = run_json(capsys, ["cycle", path, "--tol", "1e-3"])
+    assert code == 0
+    assert report["tol"] == 1e-3
+    assert report["criterion"] is False and report["agree"] is False
+    assert TOL.get() == 1e-9

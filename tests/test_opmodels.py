@@ -296,6 +296,14 @@ def test_density_preconditions_and_heuristic():
     assert v.heuristic and v.dense  # odd-index ratios blow up fast
 
 
+@pytest.mark.parametrize("lam, w", [("seq:exp-neg-pow:3:odd", "seq:hrr"), ("seq:hrr", "seq:exp-neg-pow:3:odd")])
+def test_density_heuristic_survives_exp_neg_pow_overflow(lam, w):
+    # 3**n leaves the double range from n = 647, inside the heuristic's window
+    assert parse_sequence("seq:exp-neg-pow:3:odd").log_abs(647) == -math.inf
+    v = density_criterion(lam, w)
+    assert v.heuristic and v.dense and v.ratio_l2 is False
+
+
 # ---------------------------------------------------------------------------
 # subspace systems and their endomorphisms
 

@@ -129,15 +129,14 @@ def _base_report(args, echo: str) -> dict:
 
 def _cmd_analyze(args, echo):
     r = textio.parse_rep(_read(args.file))
-    eb = hom.end_basis(r)
     verdict = hom.is_indecomposable(r, seed=args.seed)
     report = _base_report(args, echo)
     report.update(
         quiver=r.quiver.name,
         dims={v: r.dim(v) for v in r.quiver.vertices},
-        end_dim=eb.dim,
-        max_residual=float(eb.max_residual),
-        transitive=bool(eb.dim == 1 and not r.is_zero),
+        end_dim=verdict.end_dim,
+        max_residual=float(verdict.max_residual),
+        transitive=bool(verdict.end_dim == 1),
         indecomposable=verdict.indecomposable,
         verdict=verdict.kind,
     )
@@ -272,6 +271,7 @@ def _cmd_opmodel(args, echo):
             "reason": v.reason,
             "heuristic": v.heuristic,
         }
+    basis = None
     if args.four_subspace:
         system = opmodels.four_subspace_from_pair(pair)
         basis = opmodels.subspace_system_end(system)
@@ -285,7 +285,7 @@ def _cmd_opmodel(args, echo):
             "agree": bool(basis.dim == rep_end.dim),
         }
     if args.phi:
-        pm = opmodels.phi_map(pair)
+        pm = opmodels.phi_map(pair, basis)
         report["phi"] = {
             "end_dim": pm.end_dim,
             "system_end_dim": pm.system_end_dim,

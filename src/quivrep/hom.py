@@ -2,7 +2,8 @@
 
 The space Hom(r1, r2) = { (T_v) : T_dst f_a = g_a T_src for every arrow } is
 computed as the nullspace of one stacked linear system over the concatenated
-blocks (vertices in quiver order, matrices flattened row-major).
+blocks (vertices in quiver order, matrices flattened row-major), after the
+blocks that an isometric arrow determines are substituted (see hom_basis).
 """
 
 from __future__ import annotations
@@ -13,19 +14,24 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .config import IDEM_TOL, IDEM_TRIALS, ISO_TRIALS
+from .config import IDEM_TOL, IDEM_TRIALS, ISO_TRIALS, SVD_FACTOR
 from .errors import PreconditionError
 from .rep import Hom, Rep, hom_compose, hom_lincomb, idempotent_defects, is_invertible_hom, make_hom
 
 
 @dataclass
 class HomBasis:
-    """Orthonormal basis of an intertwiner space (orthonormal once flattened)."""
+    """Orthonormal basis of an intertwiner space (orthonormal once flattened).
+
+    `system_shape` and `tol_used` describe the system that was factored: the
+    one left after eliminating determined blocks (see `hom_basis`).
+    """
 
     source: Rep
     target: Rep
     basis: list[Hom]
     tol_used: float
+    system_shape: tuple[int, int] = (0, 0)
 
     @property
     def dim(self) -> int:
@@ -47,8 +53,72 @@ def _block_layout(source: Rep, target: Rep):
     return offsets, sizes, pos
 
 
+def _is_isometry(g) -> bool:
+    """|g*g - I| <= max(g.shape) * SVD_FACTOR, for g with at least one column."""
+    rows, cols = g.shape
+    tol = max(rows, cols) * SVD_FACTOR
+    if rows < cols:
+        return False
+    # |g*g - I| is at least |(g*g)_00 - 1|, and that rules out most matrices cheaply
+    if abs(np.vdot(g[:, 0], g[:, 0]) - 1) > tol:
+        return False
+    return bool(np.linalg.norm(g.conj().T @ g - np.eye(cols)) <= tol)
+
+
+def _eliminated_arrows(q, source: Rep, target: Rep) -> dict:
+    """Vertex u -> the arrow a: u -> v that determines T_u = g* T_v f.
+
+    u qualifies when its block is not empty, a is its only outgoing arrow, a
+    is not a loop, the target's matrix g for a is an isometry, and following
+    the arrows already chosen from v never comes back to u (so every oriented
+    cycle of unitary arrows keeps one unknown block).
+    """
+    outgoing = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        outgoing[a.src].append(a)
+    chosen = {}
+    for u in q.vertices:
+        if not (source.dims[u] and target.dims[u]) or len(outgoing[u]) != 1 or outgoing[u][0].dst == u:
+            continue
+        a = outgoing[u][0]
+        if not _is_isometry(target.mats[a.name]):
+            continue
+        w = a.dst
+        while w in chosen and w != u:
+            w = chosen[w].dst
+        if w != u:
+            chosen[u] = a
+    return chosen
+
+
+def _vec_operator(left, right, rows: int, cols: int) -> np.ndarray:
+    """M with M @ vec(X) = vec(left @ X @ right) for a rows x cols X; None is the identity."""
+    if left is None:
+        return linalg.right_mult_matrix(right, rows)
+    if right is None:
+        return linalg.left_mult_matrix(left, cols)
+    return np.kron(left, np.asarray(right).T)
+
+
+def _then(first, second):
+    """first @ second, where None is the identity."""
+    if first is None:
+        return second
+    if second is None:
+        return first
+    return first @ second
+
+
 def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
-    """Orthonormal basis of Hom(r1, r2)."""
+    """Orthonormal basis of Hom(r1, r2).
+
+    A vertex u whose only outgoing arrow a: u -> v carries an isometry g in r2
+    (see `_eliminated_arrows`) is not solved for: T_u = g* T_v f, and arrow a
+    keeps only the rows K* T_v f = 0, K an orthonormal basis of range(g)^perp.
+    The remaining (root) blocks are solved as one stacked nullspace; the
+    solution is lifted to every vertex and re-orthonormalized.  With nothing
+    to eliminate this is the plain Kronecker system over all blocks.
+    """
     if r1.quiver != r2.quiver:
         raise ValueError("hom spaces need representations of the same quiver")
     q = r1.quiver
@@ -56,39 +126,86 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     if total == 0:
         return HomBasis(r1, r2, [], 0.0)
 
+    chosen = _eliminated_arrows(q, r1, r2)
+    # T_v = left @ T_root @ right (None: identity), resolved along chosen arrows
+    subst = {}
+
+    def substitution(v):
+        if v not in subst:
+            if v not in chosen:
+                subst[v] = (v, None, None)
+            else:
+                a = chosen[v]
+                root, left, right = substitution(a.dst)
+                subst[v] = (root, _then(r2.mats[a.name].conj().T, left), _then(right, r1.mats[a.name]))
+        return subst[v]
+
+    cols = {}  # root blocks keep their quiver order and row-major layout
+    pos = 0
+    for v in q.vertices:
+        if v not in chosen:
+            cols[v] = slice(pos, pos + sizes[v])
+            pos += sizes[v]
+
+    def add_term(block, v, left, right, sign):
+        # block += sign * (matrix of T_root -> left @ T_v @ right), T_v substituted
+        root, lv, rv = substitution(v)
+        if sizes[root]:
+            op = _vec_operator(_then(left, lv), _then(rv, right), r2.dims[root], r1.dims[root])
+            if sign > 0:
+                block[:, cols[root]] += op
+            else:
+                block[:, cols[root]] -= op
+
     blocks = []
     for a in q.arrows:
         f = r1.mats[a.name]  # dim1(dst) x dim1(src)
         g = r2.mats[a.name]  # dim2(dst) x dim2(src)
-        rows = r2.dims[a.dst] * r1.dims[a.src]
-        if rows == 0:
-            continue
-        block = np.zeros((rows, total), dtype=complex)
-        if sizes[a.dst]:
-            # T_dst @ f contributes (I ⊗ f^T) on vec(T_dst)
-            block[:, offsets[a.dst] : offsets[a.dst] + sizes[a.dst]] += linalg.right_mult_matrix(
-                f, r2.dims[a.dst]
-            )
-        if sizes[a.src]:
-            # g @ T_src contributes (g ⊗ I) on vec(T_src)
-            block[:, offsets[a.src] : offsets[a.src] + sizes[a.src]] -= linalg.left_mult_matrix(
-                g, r1.dims[a.src]
-            )
+        if chosen.get(a.src) is a:
+            # K* T_dst f = 0
+            k_adj = linalg.orth_complement(g).conj().T
+            rows = k_adj.shape[0] * r1.dims[a.src]
+            if rows == 0:
+                continue
+            block = np.zeros((rows, pos), dtype=complex)
+            add_term(block, a.dst, k_adj, f, +1)
+        else:
+            # T_dst f - g T_src = 0
+            rows = r2.dims[a.dst] * r1.dims[a.src]
+            if rows == 0:
+                continue
+            block = np.zeros((rows, pos), dtype=complex)
+            add_term(block, a.dst, None, f, +1)
+            add_term(block, a.src, g, None, -1)
         blocks.append(block)
 
-    system = np.vstack(blocks) if blocks else np.zeros((0, total), dtype=complex)
-    s, vectors = linalg.nullspace_with_values(system)
-    tol_used = linalg.svd_cutoff(s, system.shape)
+    system = np.vstack(blocks) if blocks else np.zeros((0, pos), dtype=complex)
+    # An eliminated isometry g is a block of norm 1 in the full system, so the
+    # cutoff is relative to at least 1: substitution may cancel a row down to
+    # roundoff (around an oriented cycle of unitaries, for instance).
+    scale = 1.0 if chosen else 0.0
+    s, vectors = linalg.nullspace_with_values(system, scale)
+    tol_used = linalg.svd_cutoff(s, system.shape, scale)
+    m = vectors.shape[1]
+
+    if chosen and m:
+        lifted = np.empty((total, m), dtype=complex)
+        for v in q.vertices:
+            root, left, right = substitution(v)
+            x = vectors[cols[root]].T.reshape(m, r2.dims[root], r1.dims[root])
+            y = _then(_then(left, x), right) if v != root else x
+            lifted[offsets[v] : offsets[v] + sizes[v]] = y.reshape(m, sizes[v]).T
+        vectors = linalg.phase_normalize(np.linalg.qr(lifted)[0])
 
     basis = []
-    for j in range(vectors.shape[1]):
+    for j in range(m):
         vec = vectors[:, j]
         mats = {
             v: vec[offsets[v] : offsets[v] + sizes[v]].reshape(r2.dims[v], r1.dims[v])
             for v in q.vertices
         }
         basis.append(make_hom(r1, r2, mats))
-    return HomBasis(r1, r2, basis, tol_used)
+    return HomBasis(r1, r2, basis, tol_used, system.shape)
 
 
 def end_basis(r: Rep) -> HomBasis:
@@ -172,6 +289,7 @@ class IndecomposabilityVerdict:
     end_dim: int
     witness: Hom | None = None
     trials_used: int = 0
+    max_residual: float = 0.0  # of the End basis the verdict was read from
 
     @property
     def indecomposable(self) -> bool:
@@ -188,11 +306,10 @@ def is_indecomposable(r: Rep, seed: int = 0) -> IndecomposabilityVerdict:
         return IndecomposabilityVerdict("zero", 0)
     eb = end_basis(r)
     if eb.dim == 1:
-        return IndecomposabilityVerdict("indecomposable", 1)
+        return IndecomposabilityVerdict("indecomposable", 1, max_residual=eb.max_residual)
     witness = find_nontrivial_idempotent(eb, seed=seed)
-    if witness is not None:
-        return IndecomposabilityVerdict("decomposable", eb.dim, witness, IDEM_TRIALS)
-    return IndecomposabilityVerdict("indecomposable", eb.dim, None, IDEM_TRIALS)
+    kind = "indecomposable" if witness is None else "decomposable"
+    return IndecomposabilityVerdict(kind, eb.dim, witness, IDEM_TRIALS, eb.max_residual)
 
 
 def find_isomorphism(r1: Rep, r2: Rep, seed: int = 0) -> Hom | None:

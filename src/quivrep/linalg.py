@@ -25,11 +25,15 @@ def phase_normalize(columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def svd_cutoff(singular_values, shape) -> float:
-    """Threshold below which a singular value counts as zero."""
+def svd_cutoff(singular_values, shape, scale: float = 0.0) -> float:
+    """Threshold below which a singular value counts as zero.
+
+    It is relative to sigma_max, or to `scale` when that is larger: a known
+    lower bound on the norm of a system this one was reduced from.
+    """
     if len(singular_values) == 0:
         return 0.0
-    return float(singular_values[0]) * max(shape) * SVD_FACTOR
+    return max(float(singular_values[0]), scale) * max(shape) * SVD_FACTOR
 
 
 def real_if_exact(a: np.ndarray) -> np.ndarray:
@@ -52,8 +56,11 @@ def matrix_rank(a) -> int:
     return int(np.sum(s > svd_cutoff(s, a.shape)))
 
 
-def nullspace_with_values(a) -> tuple[np.ndarray, np.ndarray]:
-    """(singular values, orthonormal nullspace columns) from one factorization."""
+def nullspace_with_values(a, scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(singular values, orthonormal nullspace columns) from one factorization.
+
+    `scale` raises the cutoff's reference as in `svd_cutoff`.
+    """
     a = np.asarray(a, dtype=complex)
     rows, cols = a.shape
     if cols == 0:
@@ -61,7 +68,7 @@ def nullspace_with_values(a) -> tuple[np.ndarray, np.ndarray]:
     if rows == 0:
         return np.zeros(0), np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(real_if_exact(a))
-    rank = int(np.sum(s > svd_cutoff(s, a.shape)))
+    rank = int(np.sum(s > svd_cutoff(s, a.shape, scale)))
     return s, phase_normalize(np.asarray(vh, dtype=complex)[rank:].conj().T)
 
 
@@ -78,6 +85,20 @@ def orth(a) -> np.ndarray:
     u, s, _ = np.linalg.svd(real_if_exact(a), full_matrices=False)
     rank = int(np.sum(s > svd_cutoff(s, a.shape)))
     return phase_normalize(u[:, :rank])
+
+
+def orth_complement(j) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the column space of `j`.
+
+    Factored on `real_if_exact(j)`, so a real `j` gets a real complement.
+    """
+    j = np.asarray(j, dtype=complex)
+    rows, cols = j.shape
+    if rows == 0 or cols == 0:
+        return np.eye(rows, dtype=complex)
+    u, s, _ = np.linalg.svd(real_if_exact(j))
+    rank = int(np.sum(s > svd_cutoff(s, j.shape)))
+    return phase_normalize(u[:, rank:])
 
 
 def qr_orthonormalize(a) -> np.ndarray:
@@ -157,8 +178,8 @@ def cluster_eigenvalues(eigs) -> list[list[int]]:
         return []
     gap = CLUSTER_GAP * float(np.max(np.abs(eigs)))
 
-    edges = ((i, j) for i in range(m) for j in range(i + 1, m) if abs(eigs[i] - eigs[j]) <= gap)
-    groups = connected_components(m, edges)
+    close = np.triu(np.abs(eigs[:, None] - eigs[None, :]) <= gap, k=1)
+    groups = connected_components(m, zip(*(idx.tolist() for idx in np.nonzero(close))))
 
     def sort_key(members):
         vals = [(eigs[i].real, eigs[i].imag) for i in members]

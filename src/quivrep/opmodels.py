@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .config import SVD_FACTOR
 from .errors import PreconditionError
 from .hom import end_basis, is_indecomposable
 from .quiver import jordan_quiver, kronecker_quiver, new_quiver
@@ -381,18 +380,30 @@ def _classify(spec: SequenceSpec):
     return None  # hrr and anything else: no closed-form class
 
 
-def _heuristic_l2(lam: SequenceSpec, w: SequenceSpec, terms: int = 2000) -> tuple[bool, str]:
+def _ratio_logs(lam: SequenceSpec, w: SequenceSpec, terms: int) -> list[float]:
+    """log |w_i / lam_i|^2 for i = 1..terms, up to the first i where both logs saturate.
+
+    Past that index the difference says nothing (it would be inf - inf).
+    """
     logs = []
     for i in range(1, terms + 1):
-        logs.append(2.0 * (w.log_abs(i) - lam.log_abs(i)))
-    peak = max(logs)
-    if peak > math.log(1e12):
+        lw, ll = w.log_abs(i), lam.log_abs(i)
+        if math.isinf(lw) and math.isinf(ll):
+            break
+        logs.append(2.0 * (lw - ll))
+    return logs
+
+
+def _heuristic_l2(lam: SequenceSpec, w: SequenceSpec, terms: int = 2000) -> tuple[bool, str]:
+    logs = _ratio_logs(lam, w, terms)
+    if max(logs, default=-math.inf) > math.log(1e12):
         return False, f"ratio term exceeds 1e12 within {terms} indices"
+    scanned = len(logs)
     total = sum(math.exp(x) for x in logs)
-    tail = sum(math.exp(x) for x in logs[terms // 2 :])
+    tail = sum(math.exp(x) for x in logs[scanned // 2 :])
     if tail < 1e-9 * max(total, 1.0):
-        return True, f"partial sums stabilize within {terms} indices"
-    return False, f"partial sums still growing after {terms} indices"
+        return True, f"partial sums stabilize within {scanned} indices"
+    return False, f"partial sums still growing after {scanned} indices"
 
 
 def density_criterion(lam, w) -> DensityVerdict:
@@ -487,6 +498,7 @@ class SystemEndBasis:
     system: SubspaceSystem
     basis: list[np.ndarray]
     tol_used: float
+    system_shape: tuple[int, int] = (0, 0)
 
     @property
     def dim(self) -> int:
@@ -503,29 +515,19 @@ class SystemEndBasis:
 
 
 def subspace_system_end(s: SubspaceSystem) -> SystemEndBasis:
-    """Solve (1 - P_i) T P_i = 0 for all subspaces as one stacked nullspace."""
+    """Solve K_i* T J_i = 0 for all subspaces as one stacked nullspace.
+
+    K_i spans the orthogonal complement of E_i = range(J_i), so each subspace
+    contributes (d - k_i) * k_i rows, and none when it is 0 or everything.
+    """
     d = s.ambient
     if d == 0:
         return SystemEndBasis(s, [], 0.0)
-    blocks = []
-    eye = np.eye(d, dtype=complex)
-    for j in s.injections:
-        p = j @ j.conj().T
-        blocks.append(np.kron(eye - p, p.T))
+    blocks = [np.kron(linalg.orth_complement(j).conj().T, j.T) for j in s.injections]
     system = np.vstack(blocks) if blocks else np.zeros((0, d * d), dtype=complex)
-    if system.shape[0] == 0:
-        vectors = np.eye(d * d, dtype=complex)
-        tol_used = 0.0
-    else:
-        # Every active block kron(1 - P, P^T) has spectral norm exactly 1, so
-        # the honest scale of this system is max(sigma_1, 1): a stack made of
-        # nothing but projector roundoff must null out completely.
-        _, sv, vh = np.linalg.svd(linalg.real_if_exact(system))
-        tol_used = max(float(sv[0]), 1.0) * max(system.shape) * SVD_FACTOR
-        rank = int(np.sum(sv > tol_used))
-        vectors = linalg.phase_normalize(np.asarray(vh, dtype=complex)[rank:].conj().T)
+    sv, vectors = linalg.nullspace_with_values(system)
     basis = [vectors[:, j].reshape(d, d) for j in range(vectors.shape[1])]
-    return SystemEndBasis(s, basis, tol_used)
+    return SystemEndBasis(s, basis, linalg.svd_cutoff(sv, system.shape), system.shape)
 
 
 def subspace_system_rep(s: SubspaceSystem) -> Rep:
@@ -563,19 +565,21 @@ class PhiMapReport:
     membership_residual: float
 
 
-def phi_map(pair: OperatorPair) -> PhiMapReport:
+def phi_map(pair: OperatorPair, sys_end: SystemEndBasis | None = None) -> PhiMapReport:
     """Send an intertwiner (S, T) of the pair to T + T on the four-subspace system.
 
     The kernel consists of the pairs (S, 0), so its dimension is
     n * dim(ker A ∩ ker B); the map always lands in End of the system and is
-    onto it, which the report checks by dimension count.
+    onto it, which the report checks by dimension count.  `sys_end`, End of
+    `four_subspace_from_pair(pair)`, is solved here when not given.
     """
     n = pair.n
     q = kronecker_quiver()
     rep = new_rep(q, {"1": n, "2": n}, {"a": pair.a, "b": pair.b})
     eb = end_basis(rep)
-    system = four_subspace_from_pair(pair)
-    sys_end = subspace_system_end(system)
+    if sys_end is None:
+        sys_end = subspace_system_end(four_subspace_from_pair(pair))
+    system = sys_end.system
 
     images = []
     memb = 0.0

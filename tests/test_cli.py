@@ -1,13 +1,16 @@
 """In-process tests of the command-line interface: exit codes and report shape."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quivrep import cli, verify
+from quivrep import cli, hom, opmodels, verify
 from quivrep.config import TOL
 from quivrep.textio import format_matrix
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 KRONECKER_REP = """\
 quiver K2
@@ -185,6 +188,38 @@ def test_opmodel_full_report(capsys):
     assert report["density"]["dense"] is True
     assert report["four_subspace"]["agree"] is True
     assert report["phi"]["surjective"] is True
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_solves_end_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, hom, "hom_basis")
+    code, report = run_json(capsys, ["analyze", str(GOLDEN_INPUTS / "kron-jordan.txt")])
+    assert code == 0 and report["end_dim"] >= 1
+    assert len(calls) == 1
+
+
+def test_opmodel_phi_solves_the_system_end_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, opmodels, "subspace_system_end")
+    code, report = run_json(
+        capsys,
+        [
+            "opmodel", "--pair", "shift-rank-one", "--lambda", "seq:reciprocal",
+            "--w", "seq:one-minus-pow:2", "--n", "4", "--four-subspace", "--phi",
+        ],
+    )
+    assert code == 0 and report["phi"]["surjective"] is True
+    assert len(calls) == 1
 
 
 def test_opmodel_density_with_overflowing_weights(capsys):

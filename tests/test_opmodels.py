@@ -24,9 +24,11 @@ from quivrep import (
     subspace_system_end,
     subspace_system_rep,
 )
+from quivrep import opmodels
 from quivrep.errors import PreconditionError
 from quivrep.hom import end_basis
 from quivrep.opmodels import (
+    _ratio_logs,
     diag_of,
     hrr_log_weight,
     parity_weight_pair,
@@ -304,6 +306,15 @@ def test_density_heuristic_survives_exp_neg_pow_overflow(lam, w):
     assert v.heuristic and v.dense and v.ratio_l2 is False
 
 
+@pytest.mark.parametrize("lam, w", [("seq:exp-neg-pow:3:odd", "seq:hrr"), ("seq:hrr", "seq:exp-neg-pow:3:odd")])
+def test_density_heuristic_terms_are_never_nan(lam, w):
+    # from n = 647 both logs are -inf on odd n; the scan stops before them
+    logs = _ratio_logs(parse_sequence(lam), parse_sequence(w), 2000)
+    assert len(logs) == 646
+    assert not any(math.isnan(x) for x in logs)
+    assert density_criterion(lam, w).reason == "ratio term exceeds 1e12 within 2000 indices"
+
+
 # ---------------------------------------------------------------------------
 # subspace systems and their endomorphisms
 
@@ -394,6 +405,16 @@ def test_phi_map_joint_kernel_shows_up():
     assert not rep.injective
     assert rep.surjective
     assert rep.membership_residual < 1e-10
+
+
+def test_phi_map_reuses_a_given_system_end(monkeypatch):
+    pair = kron_pair_shift_rank_one("seq:reciprocal", "seq:one-minus-pow:2", 4)
+    sys_end = subspace_system_end(four_subspace_from_pair(pair))
+    calls = []
+    monkeypatch.setattr(opmodels, "subspace_system_end", lambda s: calls.append(s))
+    report = phi_map(pair, sys_end)
+    assert calls == []
+    assert report.system_end_dim == sys_end.dim and report.surjective
 
 
 def test_phi_map_random_pairs():

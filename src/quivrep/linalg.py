@@ -8,7 +8,6 @@ deterministic factorizations this makes repeated runs byte-identical.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .config import CLUSTER_GAP, SVD_FACTOR, TOL
 
@@ -67,9 +66,10 @@ def nullspace_with_values(a, scale: float = 0.0) -> tuple[np.ndarray, np.ndarray
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
     if rows == 0:
         return np.zeros(0), np.eye(cols, dtype=complex)
-    _, s, vh = np.linalg.svd(real_if_exact(a))
+    # a tall system needs only the thin U; Vh is complete either way
+    _, s, vh = np.linalg.svd(real_if_exact(a), full_matrices=rows < cols)
     rank = int(np.sum(s > svd_cutoff(s, a.shape, scale)))
-    return s, phase_normalize(np.asarray(vh, dtype=complex)[rank:].conj().T)
+    return s, phase_normalize(vh[rank:].conj().T)
 
 
 def nullspace(a) -> np.ndarray:
@@ -195,6 +195,8 @@ def spectral_projection(a, select) -> np.ndarray:
     T = [[T11, T12], [0, T22]], the projection is Q [[I, Y], [0, 0]] Q* where
     T11 Y - Y T22 = T12.  `select` must separate the spectrum cleanly.
     """
+    import scipy.linalg  # imported here: it is the package's only scipy use and slow to load
+
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     if n == 0:

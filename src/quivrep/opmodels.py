@@ -493,41 +493,36 @@ def four_subspace_from_pair(p: OperatorPair) -> SubspaceSystem:
 
 @dataclass
 class SystemEndBasis:
-    """Orthonormal basis (flattened row-major) of {T : T E_i <= E_i for all i}."""
+    """Orthonormal basis (flattened row-major) of {T : T E_i <= E_i for all i}.
+
+    The other fields describe the solve it was read from (`subspace_system_end`).
+    """
 
     system: SubspaceSystem
     basis: list[np.ndarray]
     tol_used: float
     system_shape: tuple[int, int] = (0, 0)
+    max_residual: float = 0.0
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def max_residual(self) -> float:
-        worst = 0.0
-        for t in self.basis:
-            for j in self.system.injections:
-                p = j @ j.conj().T
-                worst = max(worst, float(np.linalg.norm((np.eye(self.system.ambient) - p) @ t @ p)))
-        return worst
-
 
 def subspace_system_end(s: SubspaceSystem) -> SystemEndBasis:
-    """Solve K_i* T J_i = 0 for all subspaces as one stacked nullspace.
+    """End of `subspace_system_rep(s)`, restricted to the ambient vertex and re-orthonormalized.
 
-    K_i spans the orthogonal complement of E_i = range(J_i), so each subspace
-    contributes (d - k_i) * k_i rows, and none when it is 0 or everything.
+    Restriction is injective because every arm is an injection.  The arms are
+    eliminated, so the factored system is K_i* T J_i = 0 with K_i spanning
+    range(J_i)^perp: (d - k_i) * k_i rows per subspace.
     """
     d = s.ambient
-    if d == 0:
-        return SystemEndBasis(s, [], 0.0)
-    blocks = [np.kron(linalg.orth_complement(j).conj().T, j.T) for j in s.injections]
-    system = np.vstack(blocks) if blocks else np.zeros((0, d * d), dtype=complex)
-    sv, vectors = linalg.nullspace_with_values(system)
-    basis = [vectors[:, j].reshape(d, d) for j in range(vectors.shape[1])]
-    return SystemEndBasis(s, basis, linalg.svd_cutoff(sv, system.shape), system.shape)
+    eb = end_basis(subspace_system_rep(s))
+    center = str(len(s.injections) + 1)
+    flat = np.array([h.mats[center].reshape(-1) for h in eb.basis], dtype=complex).reshape(eb.dim, d * d)
+    q = linalg.qr_orthonormalize(flat.T)
+    basis = [q[:, j].reshape(d, d) for j in range(eb.dim)]
+    return SystemEndBasis(s, basis, eb.tol_used, eb.system_shape, eb.max_residual)
 
 
 def subspace_system_rep(s: SubspaceSystem) -> Rep:

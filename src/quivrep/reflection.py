@@ -182,13 +182,13 @@ def verify_end_isomorphism(r: Rep, v, direction: str) -> EndIsoReport:
     """
     v = _label(v)
     if direction == "plus":
-        hypothesis_ok = is_full_at_sink(r, v)
         res = reflect_sink(r, v)
     elif direction == "minus":
-        hypothesis_ok = is_co_full_at_source(r, v)
         res = reflect_source(r, v)
     else:
         raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
+    # (co-)full exactly when the kernel of the combined map has the complementary dimension
+    hypothesis_ok = res.rep.dims[v] == sum(r.dims[u] for u in res.block_vertices) - r.dims[v]
 
     eb = end_basis(r)
     eb2 = end_basis(res.rep)

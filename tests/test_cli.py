@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quivrep import cli, hom, opmodels, verify
+from quivrep import cli, hom, linalg, opmodels, verify
 from quivrep.config import TOL
 from quivrep.textio import format_matrix
 
@@ -220,6 +220,20 @@ def test_opmodel_phi_solves_the_system_end_once(monkeypatch, capsys):
     )
     assert code == 0 and report["phi"]["surjective"] is True
     assert len(calls) == 1
+
+
+def test_opmodel_four_subspace_phi_factors_the_system_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, linalg, "nullspace_with_values")
+    code, report = run_json(
+        capsys,
+        [
+            "opmodel", "--pair", "shift-rank-one", "--lambda", "seq:reciprocal",
+            "--w", "seq:one-minus-pow:2", "--n", "4", "--four-subspace", "--phi",
+        ],
+    )
+    assert code == 0 and report["four_subspace"]["agree"] is True
+    # the ambient space is C^8: 64 unknowns
+    assert sum(np.shape(args[0])[1] == 64 for args in calls) == 1
 
 
 def test_opmodel_density_with_overflowing_weights(capsys):

@@ -1,9 +1,10 @@
-"""The End solvers against the full Kronecker systems they reduce.
+"""The End solver against the full Kronecker systems it reduces.
 
 `hom_basis` does not solve for a vertex block that an isometric arrow
-determines, and `subspace_system_end` writes each subspace condition in
-complement form.  Here every reduced answer is compared with the nullspace of
-the full system over all blocks, assembled in this file from
+determines.  `subspace_system_end` reads End of a subspace system off End of
+its inclusion representation, whose eliminated arms leave each subspace
+condition in complement form.  Here every reduced answer is compared with the
+nullspace of the full system over all blocks, assembled in this file from
 `linalg.left/right_mult_matrix` (for subspace systems: the projector stack
 kron(1 - P, P^T)) and factored with its own SVD.
 """

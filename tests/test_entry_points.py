@@ -3,6 +3,8 @@
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import quivrep
@@ -38,3 +40,9 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(f"quivrep.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_import_does_not_load_scipy():
+    code = "import quivrep, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

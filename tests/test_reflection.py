@@ -77,6 +77,35 @@ def test_fullness_predicates(rng):
         qr.is_co_full_at_source(full, "2")
 
 
+def _rank_at_most_one(r):
+    mats = {}
+    for a in r.quiver.arrows:
+        m = r.mat(a.name)
+        mats[a.name] = np.outer(m[:, 0], m[0, :]) if m.size else m
+    return qr.new_rep(r.quiver, dict(r.dims), mats)
+
+
+def test_end_isomorphism_hypothesis_matches_the_predicates(rng):
+    # the report reads (co-)fullness off the reflected dimension; the public
+    # predicates factor the combined map themselves
+    star = qr.new_quiver(["1", "2", "3", "4", "5"], [(f"a{i}", str(i), "5") for i in range(1, 5)])
+    seen = set()
+    for q, n_vertices, sink, source in ((qr.kronecker_quiver(), 2, "2", "1"), (star, 5, "5", None)):
+        for trial in range(40):
+            dims = {str(i): int(rng.integers(0, 4)) for i in range(1, n_vertices + 1)}
+            r = random_rep(q, dims, rng)
+            if trial % 2:
+                r = _rank_at_most_one(r)
+            full = qr.is_full_at_sink(r, sink)
+            assert qr.verify_end_isomorphism(r, sink, "plus").hypothesis_ok == full
+            # the dual star has its centre as a source
+            r_src, v = (r, source) if source else (qr.dual(r), sink)
+            co_full = qr.is_co_full_at_source(r_src, v)
+            assert qr.verify_end_isomorphism(r_src, v, "minus").hypothesis_ok == co_full
+            seen.update({("plus", full), ("minus", co_full)})
+    assert seen == {("plus", True), ("plus", False), ("minus", True), ("minus", False)}
+
+
 def test_end_isomorphism_report_on_full_instances(rng):
     q = qr.kronecker_quiver()
     count = 0

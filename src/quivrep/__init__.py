@@ -28,8 +28,6 @@ from .rep import (
     conjugate,
     decompose_with,
     direct_sum,
-    hom_compose,
-    hom_lincomb,
     identity_hom,
     is_invertible_hom,
     make_hom,

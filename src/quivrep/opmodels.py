@@ -519,7 +519,7 @@ def subspace_system_end(s: SubspaceSystem) -> SystemEndBasis:
     d = s.ambient
     eb = end_basis(subspace_system_rep(s))
     center = str(len(s.injections) + 1)
-    flat = np.array([h.mats[center].reshape(-1) for h in eb.basis], dtype=complex).reshape(eb.dim, d * d)
+    flat = eb.blocks[center].reshape(eb.dim, d * d)
     q = linalg.qr_orthonormalize(flat.T)
     basis = [q[:, j].reshape(d, d) for j in range(eb.dim)]
     return SystemEndBasis(s, basis, eb.tol_used, eb.system_shape, eb.max_residual)
@@ -576,24 +576,15 @@ def phi_map(pair: OperatorPair, sys_end: SystemEndBasis | None = None) -> PhiMap
         sys_end = subspace_system_end(four_subspace_from_pair(pair))
     system = sys_end.system
 
-    images = []
-    memb = 0.0
+    t = eb.blocks["2"]
+    images = np.zeros((eb.dim, 2 * n, 2 * n), dtype=complex)
+    images[:, :n, :n] = t
+    images[:, n:, n:] = t
     eye2n = np.eye(2 * n, dtype=complex)
     projs = [j @ j.conj().T for j in system.injections]
-    for h in eb.basis:
-        t = h.mats["2"]
-        m = np.zeros((2 * n, 2 * n), dtype=complex)
-        m[:n, :n] = t
-        m[n:, n:] = t
-        images.append(m)
-        for p in projs:
-            memb = max(memb, float(np.linalg.norm((eye2n - p) @ m @ p)))
-
-    if images:
-        flat = np.array([im.reshape(-1) for im in images])
-        rank = linalg.matrix_rank(flat)
-    else:
-        rank = 0
+    defects = [np.linalg.norm((eye2n - p) @ images @ p, axis=(-2, -1)) for p in projs]
+    memb = float(np.max(defects, initial=0.0))
+    rank = linalg.matrix_rank(images.reshape(eb.dim, -1)) if eb.dim else 0
     ker_dim = eb.dim - rank
     joint_kernel = linalg.nullspace(np.vstack([pair.a, pair.b])).shape[1]
     return PhiMapReport(
@@ -616,7 +607,6 @@ class StrongIrreducibilityVerdict:
     strongly_irreducible: bool
     commutant_dim: int
     witness: np.ndarray | None = None
-    trials_used: int = 0
 
 
 def _loop_rep(a) -> Rep:
@@ -629,7 +619,7 @@ def _loop_rep(a) -> Rep:
 
 def commutant_basis(a) -> list[np.ndarray]:
     """Orthonormal (flattened) basis of {T : TA = AT}."""
-    return [h.mats["1"] for h in end_basis(_loop_rep(a)).basis]
+    return list(end_basis(_loop_rep(a)).blocks["1"])
 
 
 def is_strongly_irreducible(a, seed: int = 0) -> StrongIrreducibilityVerdict:
@@ -643,9 +633,7 @@ def is_strongly_irreducible(a, seed: int = 0) -> StrongIrreducibilityVerdict:
         raise PreconditionError("strong irreducibility is about operators on a nonzero space")
     verdict = is_indecomposable(r, seed=seed)
     witness = verdict.witness.mats["1"] if verdict.witness is not None else None
-    return StrongIrreducibilityVerdict(
-        verdict.kind == "indecomposable", verdict.end_dim, witness, verdict.trials_used
-    )
+    return StrongIrreducibilityVerdict(verdict.kind == "indecomposable", verdict.end_dim, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .config import IDEM_TOL
 from .errors import PreconditionError
 from .hom import end_basis
 from .quiver import _label, opposite, parse_orientation, reverse_at, toggle_mark
-from .rep import Hom, Rep, hom_compose, make_hom, new_rep
+from .rep import Hom, Rep, make_hom, new_rep
 
 
 @dataclass
@@ -105,6 +105,21 @@ def dual(r: Rep) -> Rep:
     return new_rep(q_op, dict(r.dims), mats)
 
 
+def _carried_block(res1: ReflectionResult, res2: ReflectionResult, blocks: dict, lead=()) -> np.ndarray:
+    """K2* (⊕ T_u) K1 = Σ_u K2_u* T_u K1_u over the stacked blocks of the reflections.
+
+    `blocks` maps each vertex u to T_u, or to a stack of shape lead + T_u.shape;
+    the result has shape lead + (dim of the reflected target, dim of the
+    reflected source) at the vertex.
+    """
+    k1, k2 = res1.kernel_basis, res2.kernel_basis
+    out = np.zeros(lead + (k2.shape[1], k1.shape[1]), dtype=complex)
+    for u, off1, off2 in zip(res1.block_vertices, res1.block_offsets, res2.block_offsets):
+        t = blocks[u]
+        out += k2[off2 : off2 + t.shape[-2]].conj().T @ t @ k1[off1 : off1 + t.shape[-1]]
+    return out
+
+
 def transport_hom(res1: ReflectionResult, res2: ReflectionResult, t: Hom) -> Hom:
     """Carry a hom between the source representations through the reflections.
 
@@ -114,18 +129,8 @@ def transport_hom(res1: ReflectionResult, res2: ReflectionResult, t: Hom) -> Hom
     """
     if res1.vertex != res2.vertex or res1.direction != res2.direction:
         raise ValueError("transport needs reflections at the same vertex and direction")
-    v = res1.vertex
-    # Assembled by hand: scipy.linalg.block_diag costs about ten times as much
-    # on small blocks, and verify_end_isomorphism transports m^2 + m homs.
-    blocks = [t.mats[u] for u in res1.block_vertices]
-    big = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex)
-    r0 = c0 = 0
-    for b in blocks:
-        big[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
-        r0 += b.shape[0]
-        c0 += b.shape[1]
-    mats = {u: t.mats[u] for u in t.source.quiver.vertices if u != v}
-    mats[v] = res2.kernel_basis.conj().T @ big @ res1.kernel_basis
+    mats = dict(t.mats)
+    mats[res1.vertex] = _carried_block(res1, res2, t.mats)
     return make_hom(res1.rep, res2.rep, mats)
 
 
@@ -192,28 +197,28 @@ def verify_end_isomorphism(r: Rep, v, direction: str) -> EndIsoReport:
 
     eb = end_basis(r)
     eb2 = end_basis(res.rep)
-    images = [transport_hom(res, res, b) for b in eb.basis]
-    memb = max((im.residual for im in images), default=0.0)
+    m = eb.dim
+    # The transport changes only the block at v, so the images are eb's
+    # stacks with the one at v replaced, and multiplicativity can only fail at v.
+    images = dict(eb.blocks)
+    images[v] = _carried_block(res, res, eb.blocks, (m,))
+    homs = [make_hom(res.rep, res.rep, {u: b[i] for u, b in images.items()}) for i in range(m)]
+    memb = max((h.residual for h in homs), default=0.0)
 
+    # One (m, k, k) stack per i, over all j: all pairs at once would hold
+    # m^2 k^2 entries, about 4 d^6 for End(r) = M_d.
     mult = 0.0
-    for i, bi in enumerate(eb.basis):
-        im_i = images[i]
-        for j, bj in enumerate(eb.basis):
-            composed = transport_hom(res, res, hom_compose(bi, bj))
-            direct = hom_compose(im_i, images[j])
-            defect = np.sqrt(
-                sum(
-                    np.linalg.norm(composed.mats[u] - direct.mats[u]) ** 2
-                    for u in res.rep.quiver.vertices
-                )
-            )
-            mult = max(mult, float(defect))
+    for i in range(m):
+        products = {u: eb.blocks[u][i] @ eb.blocks[u] for u in set(res.block_vertices)}
+        composed = _carried_block(res, res, products, (m,))  # images of B_i B_j
+        direct = images[v][i] @ images[v]  # image of B_i times images of B_j
+        mult = max(mult, float(np.max(np.linalg.norm(composed - direct, axis=(-2, -1)))))
 
-    if images and res.rep.total_dim:
-        flat = np.array([im.flatten() for im in images])
-        full_rank = linalg.matrix_rank(flat) == eb.dim
+    if m and res.rep.total_dim:
+        flat = np.hstack([images[u].reshape(m, -1) for u in res.rep.quiver.vertices])
+        full_rank = linalg.matrix_rank(flat) == m
     else:
-        full_rank = eb.dim == 0 or res.rep.total_dim == 0
+        full_rank = m == 0 or res.rep.total_dim == 0
 
     return EndIsoReport(
         vertex=v,

@@ -8,6 +8,7 @@ first-class: their matrices are empty and all operations treat them uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -141,16 +142,18 @@ def conjugate(r: Rep, phi: dict) -> Rep:
 
 @dataclass
 class Hom:
-    """A vertex-indexed family of matrices T_v: source_v -> target_v.
-
-    `residual` is the relative intertwining defect
-    max over arrows of |T_dst f - g T_src| / (1 + |f||T_dst| + |g||T_src|).
-    """
+    """A vertex-indexed family of matrices T_v: source_v -> target_v."""
 
     source: Rep
     target: Rep
     mats: dict[str, np.ndarray]
-    residual: float = 0.0
+
+    @cached_property
+    def residual(self) -> float:
+        """Relative intertwining defect, computed when first read:
+        max over arrows of |T_dst f - g T_src| / (1 + |f||T_dst| + |g||T_src|).
+        """
+        return hom_residual(self.source, self.target, self.mats)
 
     def mat(self, v) -> np.ndarray:
         return self.mats[_label(v)]
@@ -177,7 +180,7 @@ def hom_residual(source: Rep, target: Rep, mats: dict[str, np.ndarray]) -> float
 
 
 def make_hom(source: Rep, target: Rep, mats: dict) -> Hom:
-    """Package matrices as a Hom, validating shapes and computing the residual."""
+    """Package matrices as a Hom, validating shapes (missing blocks are zero)."""
     if source.quiver != target.quiver:
         raise ValueError("a hom needs source and target over the same quiver")
     mats = {_label(v): np.asarray(m, dtype=complex) for v, m in dict(mats).items()}
@@ -190,30 +193,11 @@ def make_hom(source: Rep, target: Rep, mats: dict) -> Hom:
         if m.shape != want:
             raise ValueError(f"block {v!r} has shape {m.shape}, expected {want}")
         full[v] = m
-    return Hom(source, target, full, hom_residual(source, target, full))
+    return Hom(source, target, full)
 
 
 def identity_hom(r: Rep) -> Hom:
     return make_hom(r, r, {v: np.eye(r.dims[v], dtype=complex) for v in r.quiver.vertices})
-
-
-def hom_compose(second: Hom, first: Hom) -> Hom:
-    """second ∘ first (first applies first)."""
-    if second.source is not first.target and second.source.dims != first.target.dims:
-        raise ValueError("composition needs matching middle representation")
-    mats = {v: second.mats[v] @ first.mats[v] for v in first.source.quiver.vertices}
-    return make_hom(first.source, second.target, mats)
-
-
-def hom_lincomb(coeffs, homs: list[Hom]) -> Hom:
-    if not homs:
-        raise ValueError("need at least one hom")
-    src, dst = homs[0].source, homs[0].target
-    mats = {
-        v: sum(c * h.mats[v] for c, h in zip(coeffs, homs))
-        for v in src.quiver.vertices
-    }
-    return make_hom(src, dst, mats)
 
 
 def is_invertible_hom(h: Hom) -> bool:

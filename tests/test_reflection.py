@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import quivrep as qr
+from quivrep import reflection, rep
+from quivrep.hom import HomBasis
 from quivrep.reflection import orientation_sequence_an
 from conftest import random_rep
 
@@ -137,6 +139,74 @@ def test_end_isomorphism_minus_direction(rng):
         assert report.ok
 
 
+def test_end_isomorphism_computes_few_residuals_and_transports_nothing(monkeypatch, rng):
+    counts = {"hom_residual": 0, "transport_hom": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(rep, "hom_residual")
+    counting(reflection, "transport_hom")
+    r = random_rep(qr.kronecker_quiver(), {"1": 2, "2": 3}, rng)
+    report = qr.verify_end_isomorphism(r, "2", "plus")
+    assert report.ok
+    assert counts["hom_residual"] <= report.end_dim
+    assert counts["transport_hom"] == 0
+
+
+def _reference_multiplicativity(res, eb) -> float:
+    """max over pairs of |transport(B_i B_j) - transport(B_i) transport(B_j)|, one pair at a time."""
+    vertices = res.rep.quiver.vertices
+    images = [qr.transport_hom(res, res, b) for b in eb.basis]
+    worst = 0.0
+    for bi, im_i in zip(eb.basis, images):
+        for bj, im_j in zip(eb.basis, images):
+            product = qr.make_hom(res.source_rep, res.source_rep, {u: bi.mats[u] @ bj.mats[u] for u in vertices})
+            composed = qr.transport_hom(res, res, product)
+            defect = np.sqrt(sum(np.linalg.norm(composed.mats[u] - im_i.mats[u] @ im_j.mats[u]) ** 2
+                                 for u in vertices))
+            worst = max(worst, float(defect))
+    return worst
+
+
+@pytest.mark.parametrize("isolated", [False, True])
+def test_end_isomorphism_finds_a_product_defect(monkeypatch, rng, isolated):
+    if isolated:
+        # vertex 3 has no arrows: the transport has nothing to change
+        q = qr.new_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2")])
+        r = random_rep(q, {"1": 2, "2": 2, "3": 2}, rng)
+        v = "3"
+    else:
+        r = random_rep(qr.kronecker_quiver(), {"1": 2, "2": 3}, rng)
+        v = "2"
+    m = 3
+    # random blocks: a space that is not closed under products
+    blocks = {u: rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d)) for u, d in r.dims.items()}
+    fake = HomBasis(r, r, [qr.make_hom(r, r, {u: b[i] for u, b in blocks.items()}) for i in range(m)], blocks, 0.0)
+    real_end_basis = reflection.end_basis
+    calls = []
+
+    def end_basis(s):
+        calls.append(s)
+        return fake if len(calls) == 1 else real_end_basis(s)
+
+    monkeypatch.setattr(reflection, "end_basis", end_basis)
+    report = qr.verify_end_isomorphism(r, v, "plus")
+    want = _reference_multiplicativity(qr.reflect_sink(r, v), fake)
+    got = report.max_multiplicativity_residual
+    assert abs(got - want) <= 1e-12 * want
+    if isolated:
+        assert not report.hypothesis_ok and got == 0.0
+    else:
+        assert got > 1e-2 and not report.ok
+
+
 def test_transport_of_identity_is_identity(rng):
     q = qr.kronecker_quiver()
     r = random_rep(q, {"1": 2, "2": 2}, rng)
@@ -144,6 +214,27 @@ def test_transport_of_identity_is_identity(rng):
     t = qr.transport_hom(res, res, qr.identity_hom(r))
     for v in ("1", "2"):
         assert np.allclose(t.mat(v), np.eye(res.rep.dim(v)), atol=1e-12)
+
+
+def test_transport_matches_the_block_diagonal_product(rng):
+    # K2* diag(T_u over the stacked blocks) K1, assembled by hand as the reference
+    star = qr.new_quiver(["1", "2", "3"], [("a", "1", "3"), ("b", "2", "3")])
+    cases = [(qr.kronecker_quiver(), {"1": 2, "2": 3}, {"1": 3, "2": 2}, "2"),
+             (star, {"1": 2, "2": 1, "3": 2}, {"1": 1, "2": 3, "3": 1}, "3")]
+    for q, dims1, dims2, v in cases:
+        r1, r2 = random_rep(q, dims1, rng), random_rep(q, dims2, rng)
+        res1, res2 = qr.reflect_sink(r1, v), qr.reflect_sink(r2, v)
+        mats = {u: rng.standard_normal((dims2[u], dims1[u])) for u in q.vertices}
+        t = qr.transport_hom(res1, res2, qr.make_hom(r1, r2, mats))
+        parts = [mats[u] for u in res1.block_vertices]
+        big = np.zeros((sum(p.shape[0] for p in parts), sum(p.shape[1] for p in parts)))
+        row = col = 0
+        for p in parts:
+            big[row : row + p.shape[0], col : col + p.shape[1]] = p
+            row, col = row + p.shape[0], col + p.shape[1]
+        want = res2.kernel_basis.conj().T @ big @ res1.kernel_basis
+        assert np.allclose(t.mat(v), want, rtol=0, atol=1e-12)
+        assert all(np.array_equal(t.mat(u), mats[u]) for u in q.vertices if u != v)
 
 
 def test_plus_minus_round_trip_on_indecomposable(rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quivrep as qr
+from quivrep import rep
 from conftest import random_rep
 
 
@@ -107,14 +108,22 @@ def test_conjugation_does_not_change_decomposability(rng):
         assert before == after == "decomposable"
 
 
-def test_hom_algebra_operations(rng):
+def test_make_hom_computes_the_residual_once_when_first_read(monkeypatch, rng):
+    calls = []
+    original = rep.hom_residual
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rep, "hom_residual", counting)
     q = qr.kronecker_quiver()
-    r = random_rep(q, {"1": 2, "2": 2}, rng)
-    eb = qr.end_basis(r)
-    ident = qr.identity_hom(r)
-    assert qr.hom_compose(ident, ident).residual <= 1e-12
-    combo = qr.hom_lincomb([0.5, 0.5j][: eb.dim], eb.basis[: min(2, eb.dim)])
-    assert combo.source is r and combo.target is r
+    r = random_rep(q, {"1": 2, "2": 3}, rng)
+    h = qr.make_hom(r, r, {v: np.eye(r.dims[v]) for v in q.vertices})
+    assert calls == []
+    first = h.residual
+    assert h.residual == first <= 1e-12
+    assert len(calls) == 1
 
 
 def test_decompose_with_recovers_block_structure(rng):
@@ -148,7 +157,7 @@ def test_decompose_with_rejects_non_idempotent(rng):
     r = random_rep(q, {"1": 2, "2": 2}, rng)
     eb = qr.end_basis(r)
     h = eb.basis[0]
-    scaled = qr.hom_lincomb([3.7], [h])
+    scaled = qr.make_hom(r, r, {v: 3.7 * m for v, m in h.mats.items()})
     if np.linalg.norm(scaled.mat("1") @ scaled.mat("1") - scaled.mat("1")) > 1e-6:
         with pytest.raises(qr.PreconditionError):
             qr.decompose_with(r, scaled)

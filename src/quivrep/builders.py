@@ -45,13 +45,12 @@ def subspace_inclusion_rep(
     for a in quiver.arrows:
         s_name, t_name = vertex_subspaces[a.src], vertex_subspaces[a.dst]
         js, jt = subspaces[s_name], subspaces[t_name]
-        if js.shape[1]:
-            defect = np.linalg.norm(js - jt @ (jt.conj().T @ js))
-            if defect > TOL.get() * max(1.0, np.linalg.norm(js)):
-                raise PreconditionError(
-                    f"arrow {a.name!r}: subspace {s_name!r} is not contained in {t_name!r} "
-                    f"(defect {defect:.2e}); inclusion arrows need nested subspaces"
-                )
+        defect = np.linalg.norm(js - jt @ (jt.conj().T @ js))
+        if defect > TOL.get() * max(1.0, np.linalg.norm(js)):
+            raise PreconditionError(
+                f"arrow {a.name!r}: subspace {s_name!r} is not contained in {t_name!r} "
+                f"(defect {defect:.2e}); inclusion arrows need nested subspaces"
+            )
         mats[a.name] = jt.conj().T @ js
     return new_rep(quiver, dims, mats)
 

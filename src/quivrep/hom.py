@@ -9,6 +9,7 @@ blocks that an isometric arrow determines are substituted (see hom_basis).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import linalg
 from .config import IDEM_TOL, IDEM_TRIALS, ISO_TRIALS, SVD_FACTOR
 from .errors import PreconditionError
-from .rep import Hom, Rep, idempotent_defects, is_invertible_hom, make_hom
+from .rep import Hom, Rep, hom_residual, idempotent_defects, is_invertible_hom, make_hom
 
 
 @dataclass
@@ -40,9 +41,10 @@ class HomBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def max_residual(self) -> float:
-        return max((h.residual for h in self.basis), default=0.0)
+        """Largest intertwining residual of the basis, from one call on the stacks."""
+        return hom_residual(self.source, self.target, self.blocks)
 
 
 def _block_layout(source: Rep, target: Rep):
@@ -94,24 +96,6 @@ def _eliminated_arrows(q, source: Rep, target: Rep) -> dict:
     return chosen
 
 
-def _vec_operator(left, right, rows: int, cols: int) -> np.ndarray:
-    """M with M @ vec(X) = vec(left @ X @ right) for a rows x cols X; None is the identity."""
-    if left is None:
-        return linalg.right_mult_matrix(right, rows)
-    if right is None:
-        return linalg.left_mult_matrix(left, cols)
-    return np.kron(left, np.asarray(right).T)
-
-
-def _then(first, second):
-    """first @ second, where None is the identity."""
-    if first is None:
-        return second
-    if second is None:
-        return first
-    return first @ second
-
-
 def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     """Orthonormal basis of Hom(r1, r2).
 
@@ -126,22 +110,18 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
         raise ValueError("hom spaces need representations of the same quiver")
     q = r1.quiver
     offsets, sizes, total = _block_layout(r1, r2)
-    if total == 0:
-        empty = {v: np.zeros((0, r2.dims[v], r1.dims[v]), dtype=complex) for v in q.vertices}
-        return HomBasis(r1, r2, [], empty, 0.0)
-
     chosen = _eliminated_arrows(q, r1, r2)
-    # T_v = left @ T_root @ right (None: identity), resolved along chosen arrows
+    # T_v = left @ T_root @ right, resolved along chosen arrows
     subst = {}
 
     def substitution(v):
         if v not in subst:
             if v not in chosen:
-                subst[v] = (v, None, None)
+                subst[v] = (v, np.eye(r2.dims[v]), np.eye(r1.dims[v]))
             else:
                 a = chosen[v]
                 root, left, right = substitution(a.dst)
-                subst[v] = (root, _then(r2.mats[a.name].conj().T, left), _then(right, r1.mats[a.name]))
+                subst[v] = (root, r2.mats[a.name].conj().T @ left, right @ r1.mats[a.name])
         return subst[v]
 
     cols = {}  # root blocks keep their quiver order and row-major layout
@@ -151,15 +131,10 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
             cols[v] = slice(pos, pos + sizes[v])
             pos += sizes[v]
 
-    def add_term(block, v, left, right, sign):
-        # block += sign * (matrix of T_root -> left @ T_v @ right), T_v substituted
+    def add_term(block, v, left, right):
+        # block += matrix of T_root -> left @ T_v @ right, T_v substituted (row-major vec)
         root, lv, rv = substitution(v)
-        if sizes[root]:
-            op = _vec_operator(_then(left, lv), _then(rv, right), r2.dims[root], r1.dims[root])
-            if sign > 0:
-                block[:, cols[root]] += op
-            else:
-                block[:, cols[root]] -= op
+        block[:, cols[root]] += np.kron(left @ lv, (rv @ right).T)
 
     blocks = []
     for a in q.arrows:
@@ -168,19 +143,13 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
         if chosen.get(a.src) is a:
             # K* T_dst f = 0
             k_adj = linalg.orth_complement(g).conj().T
-            rows = k_adj.shape[0] * r1.dims[a.src]
-            if rows == 0:
-                continue
-            block = np.zeros((rows, pos), dtype=complex)
-            add_term(block, a.dst, k_adj, f, +1)
+            block = np.zeros((k_adj.shape[0] * r1.dims[a.src], pos), dtype=complex)
+            add_term(block, a.dst, k_adj, f)
         else:
             # T_dst f - g T_src = 0
-            rows = r2.dims[a.dst] * r1.dims[a.src]
-            if rows == 0:
-                continue
-            block = np.zeros((rows, pos), dtype=complex)
-            add_term(block, a.dst, None, f, +1)
-            add_term(block, a.src, g, None, -1)
+            block = np.zeros((r2.dims[a.dst] * r1.dims[a.src], pos), dtype=complex)
+            add_term(block, a.dst, np.eye(r2.dims[a.dst]), f)
+            add_term(block, a.src, -g, np.eye(r1.dims[a.src]))
         blocks.append(block)
 
     system = np.vstack(blocks) if blocks else np.zeros((0, pos), dtype=complex)
@@ -197,8 +166,7 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
         for v in q.vertices:
             root, left, right = substitution(v)
             x = vectors[cols[root]].T.reshape(m, r2.dims[root], r1.dims[root])
-            y = _then(_then(left, x), right) if v != root else x
-            lifted[offsets[v] : offsets[v] + sizes[v]] = y.reshape(m, sizes[v]).T
+            lifted[offsets[v] : offsets[v] + sizes[v]] = (left @ x @ right).reshape(m, sizes[v]).T
         vectors = linalg.phase_normalize(np.linalg.qr(lifted)[0])
 
     blocks = {
@@ -251,15 +219,13 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
         return None
     rng = np.random.default_rng(seed)
     r = eb.source
-    live = [v for v in r.quiver.vertices if r.dims[v] > 0]
 
     for _ in range(IDEM_TRIALS):
         t = _random_element(eb, rng)
         try:
-            vertex_eigs = {v: np.linalg.eigvals(t.mats[v]) for v in live}
+            all_eigs = np.concatenate([np.linalg.eigvals(t.mats[v]) for v in r.quiver.vertices])
         except np.linalg.LinAlgError:
             continue
-        all_eigs = np.concatenate([vertex_eigs[v] for v in live])
         clusters = linalg.cluster_eigenvalues(all_eigs)
         if len(clusters) < 2:
             continue
@@ -269,10 +235,7 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
             return int(np.argmin(np.abs(centroids - z))) == 0
 
         try:
-            proj = {
-                v: linalg.spectral_projection(t.mats[v], select) if r.dims[v] else np.zeros((0, 0), dtype=complex)
-                for v in r.quiver.vertices
-            }
+            proj = {v: linalg.spectral_projection(t.mats[v], select) for v in r.quiver.vertices}
         except (np.linalg.LinAlgError, ValueError):
             continue
         p = make_hom(r, r, proj)

@@ -28,11 +28,17 @@ def svd_cutoff(singular_values, shape, scale: float = 0.0) -> float:
     """Threshold below which a singular value counts as zero.
 
     It is relative to sigma_max, or to `scale` when that is larger: a known
-    lower bound on the norm of a system this one was reduced from.
+    lower bound on the norm of a system this one was reduced from.  The
+    factor max(shape) * SVD_FACTOR is formed first (exactly: SVD_FACTOR is a
+    power of two), so the cutoff is finite whenever sigma_max is; a sigma_max
+    that is not finite raises OverflowError.
     """
     if len(singular_values) == 0:
         return 0.0
-    return max(float(singular_values[0]), scale) * max(shape) * SVD_FACTOR
+    top = max(float(singular_values[0]), scale)
+    if not np.isfinite(top):
+        raise OverflowError("the largest singular value is not finite")
+    return top * (max(shape) * SVD_FACTOR)
 
 
 def real_if_exact(a: np.ndarray) -> np.ndarray:
@@ -49,8 +55,6 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
 
 def matrix_rank(a) -> int:
     a = np.asarray(a)
-    if a.size == 0:
-        return 0
     s = np.linalg.svd(real_if_exact(a), compute_uv=False)
     return int(np.sum(s > svd_cutoff(s, a.shape)))
 
@@ -62,10 +66,6 @@ def nullspace_with_values(a, scale: float = 0.0) -> tuple[np.ndarray, np.ndarray
     """
     a = np.asarray(a, dtype=complex)
     rows, cols = a.shape
-    if cols == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    if rows == 0:
-        return np.zeros(0), np.eye(cols, dtype=complex)
     # a tall system needs only the thin U; Vh is complete either way
     _, s, vh = np.linalg.svd(real_if_exact(a), full_matrices=rows < cols)
     rank = int(np.sum(s > svd_cutoff(s, a.shape, scale)))
@@ -80,8 +80,6 @@ def nullspace(a) -> np.ndarray:
 def orth(a) -> np.ndarray:
     """Orthonormal basis of the column space of `a` (rank-revealing)."""
     a = np.asarray(a, dtype=complex)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(real_if_exact(a), full_matrices=False)
     rank = int(np.sum(s > svd_cutoff(s, a.shape)))
     return phase_normalize(u[:, :rank])
@@ -93,9 +91,6 @@ def orth_complement(j) -> np.ndarray:
     Factored on `real_if_exact(j)`, so a real `j` gets a real complement.
     """
     j = np.asarray(j, dtype=complex)
-    rows, cols = j.shape
-    if rows == 0 or cols == 0:
-        return np.eye(rows, dtype=complex)
     u, s, _ = np.linalg.svd(real_if_exact(j))
     rank = int(np.sum(s > svd_cutoff(s, j.shape)))
     return phase_normalize(u[:, rank:])

@@ -466,10 +466,9 @@ class SubspaceSystem:
         for lbl, j in zip(self.labels, self.injections):
             if j.shape[0] != self.ambient:
                 raise ValueError(f"{lbl}: injection has {j.shape[0]} rows, ambient is {self.ambient}")
-            if j.shape[1]:
-                defect = np.linalg.norm(j.conj().T @ j - np.eye(j.shape[1]))
-                if defect > 1e-8:
-                    raise ValueError(f"{lbl}: columns are not orthonormal (defect {defect:.2e})")
+            defect = np.linalg.norm(j.conj().T @ j - np.eye(j.shape[1]))
+            if defect > 1e-8:
+                raise ValueError(f"{lbl}: columns are not orthonormal (defect {defect:.2e})")
 
     @property
     def sub_dims(self) -> tuple[int, ...]:
@@ -584,7 +583,7 @@ def phi_map(pair: OperatorPair, sys_end: SystemEndBasis | None = None) -> PhiMap
     projs = [j @ j.conj().T for j in system.injections]
     defects = [np.linalg.norm((eye2n - p) @ images @ p, axis=(-2, -1)) for p in projs]
     memb = float(np.max(defects, initial=0.0))
-    rank = linalg.matrix_rank(images.reshape(eb.dim, -1)) if eb.dim else 0
+    rank = linalg.matrix_rank(images.reshape(eb.dim, 4 * n * n))
     ker_dim = eb.dim - rank
     joint_kernel = linalg.nullspace(np.vstack([pair.a, pair.b])).shape[1]
     return PhiMapReport(

@@ -20,7 +20,7 @@ from .config import IDEM_TOL
 from .errors import PreconditionError
 from .hom import end_basis
 from .quiver import _label, opposite, parse_orientation, reverse_at, toggle_mark
-from .rep import Hom, Rep, make_hom, new_rep
+from .rep import Hom, Rep, hom_residual, make_hom, new_rep
 
 
 @dataclass
@@ -202,8 +202,7 @@ def verify_end_isomorphism(r: Rep, v, direction: str) -> EndIsoReport:
     # stacks with the one at v replaced, and multiplicativity can only fail at v.
     images = dict(eb.blocks)
     images[v] = _carried_block(res, res, eb.blocks, (m,))
-    homs = [make_hom(res.rep, res.rep, {u: b[i] for u, b in images.items()}) for i in range(m)]
-    memb = max((h.residual for h in homs), default=0.0)
+    memb = hom_residual(res.rep, res.rep, images)
 
     # One (m, k, k) stack per i, over all j: all pairs at once would hold
     # m^2 k^2 entries, about 4 d^6 for End(r) = M_d.
@@ -214,11 +213,8 @@ def verify_end_isomorphism(r: Rep, v, direction: str) -> EndIsoReport:
         direct = images[v][i] @ images[v]  # image of B_i times images of B_j
         mult = max(mult, float(np.max(np.linalg.norm(composed - direct, axis=(-2, -1)))))
 
-    if m and res.rep.total_dim:
-        flat = np.hstack([images[u].reshape(m, -1) for u in res.rep.quiver.vertices])
-        full_rank = linalg.matrix_rank(flat) == m
-    else:
-        full_rank = m == 0 or res.rep.total_dim == 0
+    flat = np.hstack([images[u].reshape(m, res.rep.dims[u] ** 2) for u in res.rep.quiver.vertices])
+    full_rank = linalg.matrix_rank(flat) == m
 
     return EndIsoReport(
         vertex=v,

@@ -79,7 +79,7 @@ def new_rep(q: Quiver, dims, mats=None) -> Rep:
             raise ValueError(
                 f"arrow {a.name!r}: matrix shape {m.shape} != (dim {a.dst!r}, dim {a.src!r}) = {(rows, cols)}"
             )
-        if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
             raise ValueError(f"arrow {a.name!r}: matrix has non-finite entries")
         out[a.name] = m.copy()
     return Rep(q, full_dims, out)
@@ -128,7 +128,7 @@ def conjugate(r: Rep, phi: dict) -> Rep:
             phi[v] = np.eye(d, dtype=complex)
             inv[v] = np.eye(d, dtype=complex)
         else:
-            inv[v] = np.linalg.inv(m) if d else np.zeros((0, 0), dtype=complex)
+            inv[v] = np.linalg.inv(m)
     mats = {
         a.name: phi[a.dst] @ r.mats[a.name] @ inv[a.src]
         for a in r.quiver.arrows
@@ -168,14 +168,20 @@ class Hom:
 
 
 def hom_residual(source: Rep, target: Rep, mats: dict[str, np.ndarray]) -> float:
+    """The largest `Hom.residual` over blocks T_v, or over stacks of them.
+
+    Each `mats[v]` is one block or a stack with a leading axis (one entry per
+    hom); norms run over the last two axes.
+    """
     worst = 0.0
     for a in source.quiver.arrows:
         f = source.mats[a.name]
         g = target.mats[a.name]
         td, ts = mats[a.dst], mats[a.src]
-        defect = np.linalg.norm(td @ f - g @ ts)
-        scale = 1.0 + np.linalg.norm(f) * np.linalg.norm(td) + np.linalg.norm(g) * np.linalg.norm(ts)
-        worst = max(worst, float(defect / scale))
+        defect = np.linalg.norm(td @ f - g @ ts, axis=(-2, -1))
+        scale = (1.0 + np.linalg.norm(f) * np.linalg.norm(td, axis=(-2, -1))
+                 + np.linalg.norm(g) * np.linalg.norm(ts, axis=(-2, -1)))
+        worst = max(worst, float(np.max(defect / scale, initial=0.0)))
     return worst
 
 
@@ -246,9 +252,6 @@ def decompose_with(r: Rep, e: Hom) -> Decomposition:
         d = r.dims[v]
         ev = e.mats[v]
         for store, block in ((range_bases, ev), (kernel_bases, np.eye(d) - ev)):
-            if d == 0:
-                store[v] = np.zeros((0, 0), dtype=complex)
-                continue
             u, s, _ = np.linalg.svd(block)
             k = int(np.sum(s > 0.5))
             store[v] = linalg.phase_normalize(u[:, :k])

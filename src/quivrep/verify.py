@@ -129,9 +129,7 @@ def suite_reflection(trials: int, seed: int) -> list[Check]:
         res = reflection.reflect_sink(r, "2")
         t = reflection.transport_hom(res, res, rep.identity_hom(r))
         for v in res.rep.quiver.vertices:
-            d = res.rep.dim(v)
-            if d:
-                worst = max(worst, float(np.linalg.norm(t.mat(v) - np.eye(d))))
+            worst = max(worst, float(np.linalg.norm(t.mat(v) - np.eye(res.rep.dim(v)))))
         ok = ok and worst <= 1e-10
     checks.append(Check("transport carries identity to identity", ok,
                         f"max_defect={fmt_real(worst)}"))

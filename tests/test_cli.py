@@ -331,6 +331,25 @@ def test_weight_overflow_is_a_precondition_failure(capsys, w, n):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_subspaces_near_the_top_of_the_double_range_keep_their_rank(capsys):
+    # sigma_max * max(shape) exceeds the double range here; the cutoff must not
+    code, report = run_json(capsys, ["opmodel", "--pair", "bilateral", "--lambda", "seq:const:1e308",
+                                     "--w", "seq:const:1e308", "--n", "2", "--four-subspace"])
+    assert code == 0
+    assert report["four_subspace"]["sub_dims"] == [5, 5, 5, 5]
+    assert report["four_subspace"]["end_dim"] == 5
+
+
+def test_analyze_with_an_overflowing_system_is_a_precondition_failure(rep_file, capsys):
+    # a rescaling of a representation with End = C; its system's sigma_max overflows
+    text = KRONECKER_REP.split("dim 1")[0] + (
+        "dim 1 = 1\ndim 2 = 2\nmat a = [[1e308]; [1e308]]\nmat b = [[0]; [1e308]]\n"
+    )
+    assert cli.run(["analyze", rep_file(text)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_run_restores_the_global_tolerance(rep_file, capsys):
     assert TOL.get() == 1e-9
     assert cli.run(["analyze", rep_file(KRONECKER_REP), "--tol", "1e-3"]) == 0

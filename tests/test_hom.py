@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import quivrep as qr
+from quivrep import hom as hom_module
+from quivrep import rep
 from conftest import random_rep
 
 # ---------------------------------------------------------------- oracle
@@ -161,6 +163,64 @@ def test_hom_dim_invariant_under_taking_adjoints(rng):
         forward = qr.hom_basis(r1, r2).dim
         backward = qr.hom_basis(qr.dual(r2), qr.dual(r1)).dim
         assert forward == backward
+
+
+def test_hom_basis_of_zero_representations():
+    q = qr.kronecker_quiver()
+    zero = qr.zero_rep(q)
+    hb = qr.hom_basis(zero, zero)
+    assert hb.dim == 0 and hb.basis == []
+    assert hb.system_shape == (0, 0) and hb.tol_used == 0.0 and hb.max_residual == 0.0
+    assert all(b.shape == (0, 0, 0) for b in hb.blocks.values())
+    r = qr.new_rep(q, {"1": 2, "2": 1}, {"a": [[1.0, 0.0]], "b": [[0.0, 1.0]]})
+    for hb in (qr.hom_basis(zero, r), qr.hom_basis(r, zero)):
+        assert hb.dim == 0 and hb.tol_used == 0.0
+        assert all(hb.blocks[v].shape == (0, hb.target.dims[v], hb.source.dims[v]) for v in q.vertices)
+
+
+def _count_residuals(monkeypatch):
+    """Count calls of rep.hom_residual, under every name it is imported as."""
+    calls = []
+    original = rep.hom_residual
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (rep, hom_module):
+        monkeypatch.setattr(module, "hom_residual", counting)
+    return calls
+
+
+def test_is_indecomposable_computes_one_stacked_residual(monkeypatch):
+    r = qr.build_extended_dynkin("d4tilde", qr.jordan_block(3))
+    calls = _count_residuals(monkeypatch)
+    verdict = qr.is_indecomposable(r)
+    assert verdict.kind == "indecomposable" and verdict.end_dim == 3
+    assert len(calls) == 1
+    eb = qr.end_basis(r)
+    first = eb.max_residual
+    assert eb.max_residual == first and len(calls) == 2
+
+
+def test_stacked_residual_is_the_largest_per_hom_residual(rng):
+    star = qr.new_quiver(["1", "2", "3", "4"], [("a", "1", "4"), ("b", "2", "4"), ("c", "3", "4")])
+    cases = [(qr.kronecker_quiver(), {"1": 2, "2": 3}), (qr.kronecker_quiver(), {"1": 3, "2": 1}),
+             (star, {"1": 1, "2": 2, "3": 0, "4": 3}), (star, {"1": 2, "2": 2, "3": 2, "4": 2})]
+    for q, dims in cases:
+        r1 = random_rep(q, dims, rng)
+        r2 = random_rep(q, dims, rng)
+        for s, t in ((r1, r1), (r1, r2), (qr.direct_sum(r1, r2), r1)):
+            hb = qr.hom_basis(s, t)
+            # random blocks as well: residuals of order 1, not of roundoff
+            m = 3
+            blocks = {v: rng.standard_normal((m, t.dims[v], s.dims[v])) for v in q.vertices}
+            for stacks, homs in ((hb.blocks, hb.basis),
+                                 (blocks, [qr.make_hom(s, t, {v: b[i] for v, b in blocks.items()})
+                                           for i in range(m)])):
+                want = max((h.residual for h in homs), default=0.0)
+                got = rep.hom_residual(s, t, stacks)
+                assert abs(got - want) <= 1e-12 * want
 
 
 def test_is_transitive_rejects_zero_rep():

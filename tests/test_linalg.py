@@ -1,6 +1,7 @@
-"""Dense helpers: eigenvalue clustering and orthogonal complements."""
+"""Dense helpers: eigenvalue clustering, orthogonal complements, rank and nullspaces."""
 
 import numpy as np
+import pytest
 
 from quivrep import linalg
 from quivrep.config import CLUSTER_GAP
@@ -46,3 +47,24 @@ def test_orth_complement():
     assert not kr.imag.any() and kr.shape == (4, 3)
     assert linalg.orth_complement(np.zeros((3, 0))).shape == (3, 3)
     assert linalg.orth_complement(np.eye(3)).shape == (3, 0)
+
+
+def test_empty_matrices_factor_like_any_other():
+    assert np.array_equal(linalg.nullspace(np.zeros((0, 3))), np.eye(3))
+    assert linalg.nullspace(np.zeros((3, 0))).shape == (0, 0)
+    assert linalg.orth(np.zeros((2, 0))).shape == (2, 0)
+    assert linalg.orth(np.zeros((0, 2))).shape == (0, 0)
+    assert linalg.matrix_rank(np.zeros((0, 4))) == 0
+
+
+def test_cutoff_stays_finite_at_the_top_of_the_double_range():
+    big = 1e308 * np.eye(3)
+    assert linalg.matrix_rank(big) == 3
+    assert linalg.orth(big).shape == (3, 3)
+    assert linalg.nullspace(big).shape == (3, 0)
+    # the factor max(shape) * SVD_FACTOR is exact, so the cutoff has the old bits in range
+    s = np.array([3.7, 1.0])
+    assert linalg.svd_cutoff(s, (7, 2)) == 3.7 * 7 * 2.0**-40
+    # sigma_max itself overflows: an error, not a rank of 0
+    with pytest.raises(OverflowError):
+        linalg.matrix_rank(np.full((2, 2), 1e308))

@@ -152,12 +152,24 @@ def test_end_isomorphism_computes_few_residuals_and_transports_nothing(monkeypat
         monkeypatch.setattr(module, name, wrapper)
 
     counting(rep, "hom_residual")
+    counting(reflection, "hom_residual")
     counting(reflection, "transport_hom")
     r = random_rep(qr.kronecker_quiver(), {"1": 2, "2": 3}, rng)
-    report = qr.verify_end_isomorphism(r, "2", "plus")
-    assert report.ok
-    assert counts["hom_residual"] <= report.end_dim
+    report = qr.verify_end_isomorphism(qr.direct_sum(r, r), "2", "plus")
+    assert report.ok and report.end_dim == 4
+    # the membership residual of all images at once
+    assert counts["hom_residual"] == 1
     assert counts["transport_hom"] == 0
+
+
+def test_end_isomorphism_flags_a_transport_onto_the_zero_representation():
+    # the simple representation at the sink has End = C; its reflection is 0,
+    # and the zero map from C is not injective
+    r = qr.new_rep(qr.kronecker_quiver(), {"1": 0, "2": 1})
+    report = qr.verify_end_isomorphism(r, "2", "plus")
+    assert (report.end_dim, report.end_dim_reflected) == (1, 0)
+    assert not report.transport_full_rank
+    assert not report.hypothesis_ok and not report.dims_equal and not report.ok
 
 
 def _reference_multiplicativity(res, eb) -> float:

@@ -142,6 +142,23 @@ def test_decompose_with_recovers_block_structure(rng):
     assert qr.find_isomorphism(parts.second, r2, seed=1) is not None
 
 
+def test_decompose_and_conjugate_with_a_zero_dimensional_vertex(rng):
+    star = qr.new_quiver(["1", "2", "3"], [("a", "1", "3"), ("b", "2", "3")])
+    r = random_rep(star, {"1": 1, "2": 0, "3": 1}, rng)
+    both = qr.direct_sum(r, r)
+    phi = {"1": rng.standard_normal((2, 2)), "2": np.zeros((0, 0)), "3": rng.standard_normal((2, 2))}
+    hidden = qr.conjugate(both, phi)
+    assert hidden.dim_vector == (2, 0, 2) and hidden.mat("b").shape == (2, 0)
+    back = qr.conjugate(hidden, {v: np.linalg.inv(m) for v, m in phi.items()})
+    assert all(np.allclose(back.mat(a), both.mat(a), atol=1e-12) for a in ("a", "b"))
+
+    half = np.diag([1.0, 0.0])
+    parts = qr.decompose_with(both, qr.make_hom(both, both, {"1": half, "2": np.zeros((0, 0)), "3": half}))
+    assert parts.first.dim_vector == parts.second.dim_vector == (1, 0, 1)
+    assert parts.witness.mat("2").shape == (0, 0)
+    assert qr.is_invertible_hom(parts.witness) and parts.witness.residual <= 1e-12
+
+
 def test_decompose_with_rejects_trivial_idempotents(rng):
     q = qr.kronecker_quiver()
     r = random_rep(q, {"1": 2, "2": 2}, rng)

@@ -3,7 +3,8 @@
 The space Hom(r1, r2) = { (T_v) : T_dst f_a = g_a T_src for every arrow } is
 computed as the nullspace of one stacked linear system over the concatenated
 blocks (vertices in quiver order, matrices flattened row-major), after the
-blocks that an isometric arrow determines are substituted (see hom_basis).
+blocks that an isometric arrow or a vertex's arms determine are substituted
+(see hom_basis).
 """
 
 from __future__ import annotations
@@ -96,48 +97,89 @@ def _eliminated_arrows(q, source: Rep, target: Rep) -> dict:
     return chosen
 
 
+def _determined_by_arms(q, source: Rep, chosen: dict) -> dict:
+    """Vertex v -> [(a_i, (F^-1)_i)]: the arms a_i: u_i -> v with T_v = sum_i g_i T_{u_i} (F^-1)_i.
+
+    v qualifies when `chosen` does not eliminate it and its source block is not
+    empty.  Its incoming non-loop arrows not from vertices determined here are
+    taken in quiver order while their columns fit; they must fill dim v with an
+    invertible F = [f_1 ... f_k].  Their elimination through v leaves `chosen`.
+    """
+    determined = {}
+    for v in q.vertices:
+        width = source.dims[v]
+        if v in chosen or not width:
+            continue
+        arms, taken = [], 0  # (arrow, its rows of F^-1)
+        for a in q.arrows:
+            cols = source.dims[a.src]
+            if a.dst == v and a.src != v and a.src not in determined and taken + cols <= width:
+                arms.append((a, slice(taken, taken + cols)))
+                taken += cols
+        if taken < width:
+            continue
+        f = np.hstack([source.mats[a.name] for a, _ in arms])
+        if not linalg.is_invertible(f):
+            continue
+        finv = np.linalg.inv(f)
+        determined[v] = [(a, finv[rows]) for a, rows in arms]
+        for a, _ in arms:
+            chosen.pop(a.src, None)
+    return determined
+
+
 def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     """Orthonormal basis of Hom(r1, r2).
 
     A vertex u whose only outgoing arrow a: u -> v carries an isometry g in r2
     (see `_eliminated_arrows`) is not solved for: T_u = g* T_v f, and arrow a
     keeps only the rows K* T_v f = 0, K an orthonormal basis of range(g)^perp.
-    The remaining (root) blocks are solved as one stacked nullspace; the
-    solution is lifted to every vertex and re-orthonormalized.  With nothing
-    to eliminate this is the plain Kronecker system over all blocks.
+    Nor is a vertex v determined by its arms (see `_determined_by_arms`):
+    T_v = sum_i g_i T_{u_i} (F^-1)_i, and the arms keep no rows.  Each block is
+    a short sum of terms L T_root R over the remaining (root) blocks, which are
+    solved as one stacked nullspace; the solution is lifted to every vertex and
+    re-orthonormalized.  With nothing to eliminate this is the plain Kronecker
+    system over all blocks.
     """
     if r1.quiver != r2.quiver:
         raise ValueError("hom spaces need representations of the same quiver")
     q = r1.quiver
     offsets, sizes, total = _block_layout(r1, r2)
     chosen = _eliminated_arrows(q, r1, r2)
-    # T_v = left @ T_root @ right, resolved along chosen arrows
+    determined = _determined_by_arms(q, r1, chosen)
+    arms = {a.name for terms in determined.values() for a, _ in terms}
+    # T_v = sum of left @ T_root @ right over the terms of v
     subst = {}
 
     def substitution(v):
         if v not in subst:
-            if v not in chosen:
-                subst[v] = (v, np.eye(r2.dims[v]), np.eye(r1.dims[v]))
-            else:
+            if v in determined:
+                subst[v] = [(root, r2.mats[a.name] @ left, right @ finv)
+                            for a, finv in determined[v] for root, left, right in substitution(a.src)]
+            elif v in chosen:
                 a = chosen[v]
-                root, left, right = substitution(a.dst)
-                subst[v] = (root, r2.mats[a.name].conj().T @ left, right @ r1.mats[a.name])
+                subst[v] = [(root, r2.mats[a.name].conj().T @ left, right @ r1.mats[a.name])
+                            for root, left, right in substitution(a.dst)]
+            else:
+                subst[v] = [(v, np.eye(r2.dims[v]), np.eye(r1.dims[v]))]
         return subst[v]
 
     cols = {}  # root blocks keep their quiver order and row-major layout
     pos = 0
     for v in q.vertices:
-        if v not in chosen:
+        if v not in chosen and v not in determined:
             cols[v] = slice(pos, pos + sizes[v])
             pos += sizes[v]
 
     def add_term(block, v, left, right):
         # block += matrix of T_root -> left @ T_v @ right, T_v substituted (row-major vec)
-        root, lv, rv = substitution(v)
-        block[:, cols[root]] += np.kron(left @ lv, (rv @ right).T)
+        for root, lv, rv in substitution(v):
+            block[:, cols[root]] += np.kron(left @ lv, (rv @ right).T)
 
     blocks = []
     for a in q.arrows:
+        if a.name in arms:
+            continue
         f = r1.mats[a.name]  # dim1(dst) x dim1(src)
         g = r2.mats[a.name]  # dim2(dst) x dim2(src)
         if chosen.get(a.src) is a:
@@ -153,20 +195,20 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
         blocks.append(block)
 
     system = np.vstack(blocks) if blocks else np.zeros((0, pos), dtype=complex)
-    # An eliminated isometry g is a block of norm 1 in the full system, so the
-    # cutoff is relative to at least 1: substitution may cancel a row down to
-    # roundoff (around an oriented cycle of unitaries, for instance).
-    scale = 1.0 if chosen else 0.0
+    # An eliminated isometry g is a block of norm 1 in the full system, and F F^-1
+    # = 1, so the cutoff is relative to at least 1: substitution may cancel a row
+    # down to roundoff (around an oriented cycle of unitaries, for instance).
+    scale = 1.0 if chosen or determined else 0.0
     s, vectors = linalg.nullspace_with_values(system, scale)
     tol_used = linalg.svd_cutoff(s, system.shape, scale)
     m = vectors.shape[1]
 
-    if chosen and m:
+    if scale and m:
+        roots = {v: vectors[c].T.reshape(m, r2.dims[v], r1.dims[v]) for v, c in cols.items()}
         lifted = np.empty((total, m), dtype=complex)
         for v in q.vertices:
-            root, left, right = substitution(v)
-            x = vectors[cols[root]].T.reshape(m, r2.dims[root], r1.dims[root])
-            lifted[offsets[v] : offsets[v] + sizes[v]] = (left @ x @ right).reshape(m, sizes[v]).T
+            x = sum(left @ roots[root] @ right for root, left, right in substitution(v))
+            lifted[offsets[v] : offsets[v] + sizes[v]] = x.reshape(m, sizes[v]).T
         vectors = linalg.phase_normalize(np.linalg.qr(lifted)[0])
 
     blocks = {
@@ -210,8 +252,10 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
     Draws random elements T of the algebra, clusters the joint spectrum of the
     vertex blocks, and takes the spectral projection of each block onto one
     cluster.  The projection is a polynomial in T, hence lands in End exactly;
-    residual checks guard the numerics.  Returns None when every trial fails
-    (in particular when dim End <= 1).
+    residual checks guard the numerics.  Of e and 1 - e it returns the one
+    whose rank vector (round(tr e_v) in quiver vertex order) is smaller
+    lexicographically, e on a tie.  Returns None when every trial fails (in
+    particular when dim End <= 1).
     """
     if eb.source is not eb.target and eb.source.dims != eb.target.dims:
         raise ValueError("idempotent search needs an endomorphism basis")
@@ -244,6 +288,9 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
             continue
         if p.norm() <= IDEM_TOL or id_defect <= IDEM_TOL:
             continue
+        ranks = [round(np.trace(proj[v]).real) for v in r.quiver.vertices]
+        if ranks > [r.dims[v] - k for v, k in zip(r.quiver.vertices, ranks)]:
+            p = make_hom(r, r, {v: np.eye(r.dims[v]) - e for v, e in proj.items()})
         return p
     return None
 

@@ -511,9 +511,10 @@ class SystemEndBasis:
 def subspace_system_end(s: SubspaceSystem) -> SystemEndBasis:
     """End of `subspace_system_rep(s)`, restricted to the ambient vertex and re-orthonormalized.
 
-    Restriction is injective because every arm is an injection.  The arms are
-    eliminated, so the factored system is K_i* T J_i = 0 with K_i spanning
-    range(J_i)^perp: (d - k_i) * k_i rows per subspace.
+    Restriction is injective because every arm is an injection.  Arms that fill
+    C^d (E1 = H + 0 and E2 = 0 + H of a four-subspace system) determine T; each
+    other arm leaves K_i* T J_i = 0, K_i spanning range(J_i)^perp: d^2/2 x d^2/2
+    for a four-subspace system in C^d.
     """
     d = s.ambient
     eb = end_basis(subspace_system_rep(s))

@@ -171,17 +171,20 @@ def hom_residual(source: Rep, target: Rep, mats: dict[str, np.ndarray]) -> float
     """The largest `Hom.residual` over blocks T_v, or over stacks of them.
 
     Each `mats[v]` is one block or a stack with a leading axis (one entry per
-    hom); norms run over the last two axes.
+    hom); norms run over the last two axes.  A ratio that is NaN (inf / inf,
+    or a norm that overflowed times 0) counts as inf: nothing vouches for it.
     """
     worst = 0.0
-    for a in source.quiver.arrows:
-        f = source.mats[a.name]
-        g = target.mats[a.name]
-        td, ts = mats[a.dst], mats[a.src]
-        defect = np.linalg.norm(td @ f - g @ ts, axis=(-2, -1))
-        scale = (1.0 + np.linalg.norm(f) * np.linalg.norm(td, axis=(-2, -1))
-                 + np.linalg.norm(g) * np.linalg.norm(ts, axis=(-2, -1)))
-        worst = max(worst, float(np.max(defect / scale, initial=0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in source.quiver.arrows:
+            f = source.mats[a.name]
+            g = target.mats[a.name]
+            td, ts = mats[a.dst], mats[a.src]
+            defect = np.linalg.norm(td @ f - g @ ts, axis=(-2, -1))
+            scale = (1.0 + np.linalg.norm(f) * np.linalg.norm(td, axis=(-2, -1))
+                     + np.linalg.norm(g) * np.linalg.norm(ts, axis=(-2, -1)))
+            ratio = defect / scale
+            worst = max(worst, float(np.max(np.where(np.isnan(ratio), np.inf, ratio), initial=0.0)))
     return worst
 
 

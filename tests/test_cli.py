@@ -223,6 +223,8 @@ def test_opmodel_phi_solves_the_system_end_once(monkeypatch, capsys):
 
 
 def test_opmodel_four_subspace_phi_factors_the_system_once(monkeypatch, capsys):
+    pair = opmodels.kron_pair_shift_rank_one("seq:reciprocal", "seq:one-minus-pow:2", 4)
+    unknowns = opmodels.subspace_system_end(opmodels.four_subspace_from_pair(pair)).system_shape[1]
     calls = _count_calls(monkeypatch, linalg, "nullspace_with_values")
     code, report = run_json(
         capsys,
@@ -232,8 +234,7 @@ def test_opmodel_four_subspace_phi_factors_the_system_once(monkeypatch, capsys):
         ],
     )
     assert code == 0 and report["four_subspace"]["agree"] is True
-    # the ambient space is C^8: 64 unknowns
-    assert sum(np.shape(args[0])[1] == 64 for args in calls) == 1
+    assert sum(np.shape(args[0])[1] == unknowns for args in calls) == 1
 
 
 def test_opmodel_density_with_overflowing_weights(capsys):
@@ -341,13 +342,25 @@ def test_subspaces_near_the_top_of_the_double_range_keep_their_rank(capsys):
 
 
 def test_analyze_with_an_overflowing_system_is_a_precondition_failure(rep_file, capsys):
-    # a rescaling of a representation with End = C; its system's sigma_max overflows
+    # the arms of vertex 2 fill 2 of its 3 columns, so its block stays in the
+    # system, whose sigma_max overflows
     text = KRONECKER_REP.split("dim 1")[0] + (
-        "dim 1 = 1\ndim 2 = 2\nmat a = [[1e308]; [1e308]]\nmat b = [[0]; [1e308]]\n"
+        "dim 1 = 1\ndim 2 = 3\nmat a = [[1e308]; [1e308]; [0]]\nmat b = [[0]; [1e308]; [1e308]]\n"
     )
     assert cli.run(["analyze", rep_file(text)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_analyze_near_the_top_of_the_double_range_answers_as_at_scale_one(rep_file, capsys):
+    # [a b] determines vertex 2, so no system is factored: End = C as at scale 1
+    text = KRONECKER_REP.split("dim 1")[0] + (
+        "dim 1 = 1\ndim 2 = 2\nmat a = [[1e308]; [1e308]]\nmat b = [[0]; [1e308]]\n"
+    )
+    for scaled in (text, text.replace("e308", "")):
+        code, report = run_json(capsys, ["analyze", rep_file(scaled)])
+        assert code == 0
+        assert report["end_dim"] == 1 and report["verdict"] == "indecomposable"
 
 
 def test_run_restores_the_global_tolerance(rep_file, capsys):

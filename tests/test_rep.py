@@ -194,3 +194,11 @@ def test_decompose_round_trip_through_found_idempotent(rng):
         parts = qr.decompose_with(hidden, e)
         got = sorted([parts.first.dim_vector, parts.second.dim_vector])
         assert got == sorted([r1.dim_vector, r2.dim_vector])
+
+
+def test_a_nan_residual_ratio_counts_as_infinite():
+    # |f| overflows, so |f| |T_2| = inf * 0 makes the scale NaN; the pair does not intertwine
+    r = qr.new_rep(qr.kronecker_quiver(), {"1": 1, "2": 2}, {"a": [[1e308], [1e308]], "b": [[0], [1e308]]})
+    assert qr.make_hom(r, r, {"1": 10 * np.eye(1), "2": np.zeros((2, 2))}).residual == np.inf
+    # 0 / inf stays 0: the scalars intertwine exactly
+    assert qr.make_hom(r, r, {"1": np.eye(1), "2": np.eye(2)}).residual == 0.0

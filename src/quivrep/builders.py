@@ -1,12 +1,15 @@
 """Subspace-family representations over extended Dynkin shapes.
 
-Each builder takes one operator s on K = C^k and produces a subspace system
-in K^m (an opmodels.SubspaceSystem: labelled orthonormal injections), a
-quiver, and a label for every vertex.  subspace_inclusion_rep turns these
-into a representation: every vertex carries its labelled subspace, every
-arrow the coordinate matrix of an inclusion.  The designs tie End of the
-result to the commutant of s, so the representation is indecomposable
-exactly when s is strongly irreducible.
+Every family is data for one operator s on K = C^k: a block count m, the
+arrows, and per vertex a list of block columns spanning a subspace of K^m.
+A block column maps block rows to "I" (the identity) or "S" (the operator),
+so [{0: "I", 1: "S"}] is the graph {(x, s x)} in K^2.  _E_TILDE holds E~6,
+E~7 and E~8 with their arm lengths (arrows a{i}{mark}: i -> i - 1 along each
+arm, into the unmarked centre 0); _dn_tilde(n) gives D~n.  One path,
+build_extended_dynkin, turns the data into a SubspaceSystem, and
+subspace_inclusion_rep that into a representation of coordinate inclusions.
+The designs tie End of the result to the commutant of s, so it is
+indecomposable exactly when s is strongly irreducible.
 """
 
 from __future__ import annotations
@@ -66,10 +69,6 @@ def _block_injection(m: int, k: int, cols: list[dict[int, np.ndarray]]) -> np.nd
     return linalg.qr_orthonormalize(j)
 
 
-def _system(ambient: int, subspaces: dict[str, np.ndarray]) -> SubspaceSystem:
-    return SubspaceSystem(ambient, list(subspaces.values()), tuple(subspaces))
-
-
 def _validate_operator(s) -> tuple[np.ndarray, int]:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
@@ -79,114 +78,49 @@ def _validate_operator(s) -> tuple[np.ndarray, int]:
     return s, s.shape[0]
 
 
-def _dn_tilde(n: int, s: np.ndarray, k: int) -> tuple[SubspaceSystem, Quiver, dict[str, str]]:
+_E_TILDE = {
+    "e6tilde": (3, (2, 2, 2), {
+        "0": [{0: "I"}, {1: "I"}, {2: "I"}],
+        "1": [{1: "I"}, {2: "I"}],
+        "2": [{1: "I", 2: "S"}],
+        "1'": [{0: "I"}, {1: "I"}],
+        "2'": [{0: "I", 1: "I"}],
+        "1''": [{0: "I"}, {2: "I"}],
+        "2''": [{0: "I", 2: "I"}],
+    }),
+    "e7tilde": (4, (3, 3, 1), {
+        "0": [{0: "I"}, {1: "I"}, {2: "I"}, {3: "I"}],
+        "1": [{0: "I"}, {2: "I"}, {3: "I"}],
+        "2": [{0: "I"}, {2: "I", 3: "I"}],
+        "3": [{0: "I"}],
+        "1'": [{1: "I"}, {2: "I"}, {3: "I"}],
+        "2'": [{1: "I"}, {2: "I", 3: "S"}],
+        "3'": [{1: "I"}],
+        "1''": [{0: "I", 2: "I"}, {1: "I", 3: "I"}],
+    }),
+    "e8tilde": (6, (5, 2, 1), {
+        "0": [{0: "I"}, {1: "I"}, {2: "I"}, {3: "I"}, {4: "I"}, {5: "I"}],
+        "1": [{0: "I", 1: "I"}, {2: "I"}, {3: "I"}, {4: "I"}, {5: "I"}],
+        "2": [{2: "I"}, {3: "I"}, {4: "I"}, {5: "I"}],
+        "3": [{3: "I"}, {4: "I"}, {5: "I"}],
+        "4": [{3: "I"}, {4: "I", 5: "S"}],
+        "5": [{3: "I"}],
+        "1'": [{0: "I"}, {1: "I"}, {2: "I", 4: "I"}, {3: "I", 5: "I"}],
+        "2'": [{0: "I"}, {1: "I"}],
+        "1''": [{0: "I", 4: "I"}, {1: "I", 5: "I"}, {2: "I"}],
+    }),
+}
+
+
+def _dn_tilde(n: int) -> tuple[str, int, list, dict]:
+    """D~n: 1, 2 -> 5 and 3, 4 -> n + 1, with the path 5 -> ... -> n + 1 on all of K^2."""
     if n < 4:
         raise PreconditionError(f"the two-fork family needs n >= 4, got {n}")
-    eye = np.eye(k, dtype=complex)
-    vertices = [str(i) for i in range(1, n + 2)]
-    arrows = [
-        ("a1", "1", "5"),
-        ("a2", "2", "5"),
-        ("a3", "3", str(n + 1)),
-        ("a4", "4", str(n + 1)),
-    ]
+    arrows = [("a1", "1", "5"), ("a2", "2", "5"), ("a3", "3", str(n + 1)), ("a4", "4", str(n + 1))]
     arrows += [(f"p{i}", str(i), str(i + 1)) for i in range(5, n + 1)]
-    q = new_quiver(vertices, arrows, name=f"D~{n}")
-    subspaces = {
-        "H1": _block_injection(2, k, [{0: eye}]),
-        "H2": _block_injection(2, k, [{1: eye}]),
-        "H3": _block_injection(2, k, [{0: eye, 1: s}]),
-        "H4": _block_injection(2, k, [{0: eye, 1: eye}]),
-        "full": _block_injection(2, k, [{0: eye}, {1: eye}]),
-    }
-    vertex_subspaces = {"1": "H1", "2": "H2", "3": "H3", "4": "H4"}
-    for i in range(5, n + 2):
-        vertex_subspaces[str(i)] = "full"
-    return _system(2 * k, subspaces), q, vertex_subspaces
-
-
-def _e6_tilde(s: np.ndarray, k: int) -> tuple[SubspaceSystem, Quiver, dict[str, str]]:
-    eye = np.eye(k, dtype=complex)
-    q = new_quiver(
-        ["0", "1", "2", "1'", "2'", "1''", "2''"],
-        [
-            ("a1", "1", "0"),
-            ("a2", "2", "1"),
-            ("a1'", "1'", "0"),
-            ("a2'", "2'", "1'"),
-            ("a1''", "1''", "0"),
-            ("a2''", "2''", "1''"),
-        ],
-        name="E~6",
-    )
-    subspaces = {
-        "H0": _block_injection(3, k, [{0: eye}, {1: eye}, {2: eye}]),
-        "H1": _block_injection(3, k, [{1: eye}, {2: eye}]),
-        "H2": _block_injection(3, k, [{1: eye, 2: s}]),
-        "H1'": _block_injection(3, k, [{0: eye}, {1: eye}]),
-        "H2'": _block_injection(3, k, [{0: eye, 1: eye}]),
-        "H1''": _block_injection(3, k, [{0: eye}, {2: eye}]),
-        "H2''": _block_injection(3, k, [{0: eye, 2: eye}]),
-    }
-    return _system(3 * k, subspaces), q, {v: "H" + v for v in q.vertices}
-
-
-def _e7_tilde(s: np.ndarray, k: int) -> tuple[SubspaceSystem, Quiver, dict[str, str]]:
-    eye = np.eye(k, dtype=complex)
-    q = new_quiver(
-        ["0", "1", "2", "3", "1'", "2'", "3'", "1''"],
-        [
-            ("a1", "1", "0"),
-            ("a2", "2", "1"),
-            ("a3", "3", "2"),
-            ("a1'", "1'", "0"),
-            ("a2'", "2'", "1'"),
-            ("a3'", "3'", "2'"),
-            ("a1''", "1''", "0"),
-        ],
-        name="E~7",
-    )
-    subspaces = {
-        "H0": _block_injection(4, k, [{0: eye}, {1: eye}, {2: eye}, {3: eye}]),
-        "H1": _block_injection(4, k, [{0: eye}, {2: eye}, {3: eye}]),
-        "H2": _block_injection(4, k, [{0: eye}, {2: eye, 3: eye}]),
-        "H3": _block_injection(4, k, [{0: eye}]),
-        "H1'": _block_injection(4, k, [{1: eye}, {2: eye}, {3: eye}]),
-        "H2'": _block_injection(4, k, [{1: eye}, {2: eye, 3: s}]),
-        "H3'": _block_injection(4, k, [{1: eye}]),
-        "H1''": _block_injection(4, k, [{0: eye, 2: eye}, {1: eye, 3: eye}]),
-    }
-    return _system(4 * k, subspaces), q, {v: "H" + v for v in q.vertices}
-
-
-def _e8_tilde(s: np.ndarray, k: int) -> tuple[SubspaceSystem, Quiver, dict[str, str]]:
-    eye = np.eye(k, dtype=complex)
-    q = new_quiver(
-        ["0", "1", "2", "3", "4", "5", "1'", "2'", "1''"],
-        [
-            ("a1", "1", "0"),
-            ("a2", "2", "1"),
-            ("a3", "3", "2"),
-            ("a4", "4", "3"),
-            ("a5", "5", "4"),
-            ("a1'", "1'", "0"),
-            ("a2'", "2'", "1'"),
-            ("a1''", "1''", "0"),
-        ],
-        name="E~8",
-    )
-    subspaces = {
-        "H0": _block_injection(6, k, [{i: eye} for i in range(6)]),
-        "H1": _block_injection(6, k, [{0: eye, 1: eye}, {2: eye}, {3: eye}, {4: eye}, {5: eye}]),
-        "H2": _block_injection(6, k, [{2: eye}, {3: eye}, {4: eye}, {5: eye}]),
-        "H3": _block_injection(6, k, [{3: eye}, {4: eye}, {5: eye}]),
-        "H4": _block_injection(6, k, [{3: eye}, {4: eye, 5: s}]),
-        "H5": _block_injection(6, k, [{3: eye}]),
-        "H1'": _block_injection(6, k, [{0: eye}, {1: eye}, {2: eye, 4: eye}, {3: eye, 5: eye}]),
-        "H2'": _block_injection(6, k, [{0: eye}, {1: eye}]),
-        "H1''": _block_injection(6, k, [{0: eye, 4: eye}, {1: eye, 5: eye}, {2: eye}]),
-    }
-    return _system(6 * k, subspaces), q, {v: "H" + v for v in q.vertices}
+    columns = {"1": [{0: "I"}], "2": [{1: "I"}], "3": [{0: "I", 1: "S"}], "4": [{0: "I", 1: "I"}]}
+    columns.update({str(i): [{0: "I"}, {1: "I"}] for i in range(5, n + 2)})
+    return f"D~{n}", 2, arrows, columns
 
 
 def build_extended_dynkin(family: str, s, n: int | None = None) -> Rep:
@@ -197,23 +131,25 @@ def build_extended_dynkin(family: str, s, n: int | None = None) -> Rep:
     """
     s, k = _validate_operator(s)
     fam = family.lower().replace("_", "").replace("-", "")
-    m = re.fullmatch(r"d(\d*)tilde", fam)
-    if m:
-        count = int(m.group(1)) if m.group(1) else n
+    match = re.fullmatch(r"d(\d*)tilde", fam)
+    if match:
+        count = int(match.group(1)) if match.group(1) else n
         if count is None:
             raise ValueError("the two-fork family needs its size, e.g. 'd4tilde'")
-        parts = _dn_tilde(int(count), s, k)
-    elif fam == "e6tilde":
-        parts = _e6_tilde(s, k)
-    elif fam == "e7tilde":
-        parts = _e7_tilde(s, k)
-    elif fam == "e8tilde":
-        parts = _e8_tilde(s, k)
+        name, m, arrows, columns = _dn_tilde(int(count))
+    elif fam in _E_TILDE:
+        m, arms, columns = _E_TILDE[fam]
+        name = f"E~{fam[1]}"
+        arrows = [(f"a{i}{mark}", f"{i}{mark}", f"{i - 1}{mark}" if i > 1 else "0")
+                  for mark, length in zip(("", "'", "''"), arms) for i in range(1, length + 1)]
     else:
-        raise ValueError(
-            f"unknown family {family!r}; expected d<n>tilde, e6tilde, e7tilde or e8tilde"
-        )
-    return subspace_inclusion_rep(*parts)
+        raise ValueError(f"unknown family {family!r}; expected d<n>tilde, e6tilde, e7tilde or e8tilde")
+    blocks = {"I": np.eye(k, dtype=complex), "S": s}
+    injections = [_block_injection(m, k, [{r: blocks[b] for r, b in col.items()} for col in cols])
+                  for cols in columns.values()]
+    system = SubspaceSystem(m * k, injections, tuple(columns))
+    quiver = new_quiver(list(columns), arrows, name=name)
+    return subspace_inclusion_rep(system, quiver, {v: v for v in columns})
 
 
 class AnTildeRep(NamedTuple):

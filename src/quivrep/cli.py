@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -163,16 +164,9 @@ def _cmd_reflect(args, echo):
     )
     if args.verify_end_iso:
         iso = reflection.verify_end_isomorphism(r, args.vertex, args.dir)
-        report["end_iso"] = {
-            "hypothesis_ok": iso.hypothesis_ok,
-            "end_dim": iso.end_dim,
-            "end_dim_reflected": iso.end_dim_reflected,
-            "dims_equal": iso.dims_equal,
-            "transport_full_rank": iso.transport_full_rank,
-            "max_membership_residual": float(iso.max_membership_residual),
-            "max_multiplicativity_residual": float(iso.max_multiplicativity_residual),
-            "ok": iso.ok,
-        }
+        fields = asdict(iso)
+        del fields["vertex"], fields["direction"]
+        report["end_iso"] = {**fields, "ok": iso.ok}
     return report, 0
 
 
@@ -286,15 +280,7 @@ def _cmd_opmodel(args, echo):
         }
     if args.phi:
         pm = opmodels.phi_map(pair, basis)
-        report["phi"] = {
-            "end_dim": pm.end_dim,
-            "system_end_dim": pm.system_end_dim,
-            "ker_dim": pm.ker_dim,
-            "expected_ker_dim": pm.expected_ker_dim,
-            "injective": pm.injective,
-            "surjective": pm.surjective,
-            "membership_residual": float(pm.membership_residual),
-        }
+        report["phi"] = asdict(pm)
     return report, 0
 
 

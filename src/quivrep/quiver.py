@@ -99,14 +99,6 @@ def vertex_kinds(q: Quiver) -> dict[str, str]:
     return kinds
 
 
-def is_sink(q: Quiver, v) -> bool:
-    return len(q.arrows_out_of(v)) == 0
-
-
-def is_source(q: Quiver, v) -> bool:
-    return len(q.arrows_into(v)) == 0
-
-
 def toggle_mark(name: str) -> str:
     """Arrow id for a reversed arrow; reversing twice restores the original id."""
     if name.endswith(REVERSAL_MARK):
@@ -124,13 +116,13 @@ def reverse_at(q: Quiver, v, mode: str) -> Quiver:
     if not q.has_vertex(v):
         raise ValueError(f"no vertex {v!r}")
     if mode == "sink":
-        if not is_sink(q, v):
+        if q.arrows_out_of(v):
             raise PreconditionError(
                 f"vertex {v!r} is not a sink; arrows leave it, so reversing the incoming arrows is undefined"
             )
         flipped = lambda a: a.dst == v
     elif mode == "source":
-        if not is_source(q, v):
+        if q.arrows_into(v):
             raise PreconditionError(
                 f"vertex {v!r} is not a source; arrows enter it, so reversing the outgoing arrows is undefined"
             )
@@ -224,6 +216,11 @@ def _arms(q: Quiver, center: str, degree: dict[str, int]) -> list[tuple[int, str
     return arms
 
 
+# the three-armed stars other than D, by sorted arm lengths (edges from the centre)
+_STAR_FAMILIES = {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8",
+                  (2, 2, 2): "E6~", (1, 3, 3): "E7~", (1, 2, 5): "E8~"}
+
+
 def graph_family(q: Quiver) -> GraphFamily:
     """Recognize the underlying undirected multigraph.
 
@@ -264,26 +261,12 @@ def graph_family(q: Quiver) -> GraphFamily:
         arms = _arms(q, c, degree)
         if any(end != c and degree[end] != 1 for _, end in arms):
             return GraphFamily("other")
-        lengths = sorted(length for length, _ in arms)
-        if degree[c] == 4:
-            return GraphFamily("D~", 4) if lengths == [1, 1, 1, 1] else GraphFamily("other")
-        if degree[c] != 3:
-            return GraphFamily("other")
-        if lengths[:2] == [1, 1]:
+        lengths = tuple(sorted(length for length, _ in arms))
+        if lengths == (1, 1, 1, 1):
+            return GraphFamily("D~", 4)
+        if len(lengths) == 3 and lengths[:2] == (1, 1):
             return GraphFamily("D", nv)
-        if lengths == [1, 2, 2]:
-            return GraphFamily("E6")
-        if lengths == [1, 2, 3]:
-            return GraphFamily("E7")
-        if lengths == [1, 2, 4]:
-            return GraphFamily("E8")
-        if lengths == [2, 2, 2]:
-            return GraphFamily("E6~")
-        if lengths == [1, 3, 3]:
-            return GraphFamily("E7~")
-        if lengths == [1, 2, 5]:
-            return GraphFamily("E8~")
-        return GraphFamily("other")
+        return GraphFamily(_STAR_FAMILIES.get(lengths, "other"))
     if len(branch) == 2:
         a, b = branch
         if degree[a] == degree[b] == 3:

@@ -31,8 +31,33 @@ DIM_TABLES = {
     },
 }
 
+# quiver name and (name, src, dst) arrow triples per family, in declaration order
+ARROW_TABLES = {
+    "d4tilde": ("D~4", [("a1", "1", "5"), ("a2", "2", "5"), ("a3", "3", "5"), ("a4", "4", "5")]),
+    "d5tilde": ("D~5", [("a1", "1", "5"), ("a2", "2", "5"), ("a3", "3", "6"), ("a4", "4", "6"),
+                        ("p5", "5", "6")]),
+    "d6tilde": ("D~6", [("a1", "1", "5"), ("a2", "2", "5"), ("a3", "3", "7"), ("a4", "4", "7"),
+                        ("p5", "5", "6"), ("p6", "6", "7")]),
+    "d7tilde": ("D~7", [("a1", "1", "5"), ("a2", "2", "5"), ("a3", "3", "8"), ("a4", "4", "8"),
+                        ("p5", "5", "6"), ("p6", "6", "7"), ("p7", "7", "8")]),
+    "d8tilde": ("D~8", [("a1", "1", "5"), ("a2", "2", "5"), ("a3", "3", "9"), ("a4", "4", "9"),
+                        ("p5", "5", "6"), ("p6", "6", "7"), ("p7", "7", "8"), ("p8", "8", "9")]),
+    "e6tilde": ("E~6", [("a1", "1", "0"), ("a2", "2", "1"), ("a1'", "1'", "0"), ("a2'", "2'", "1'"),
+                        ("a1''", "1''", "0"), ("a2''", "2''", "1''")]),
+    "e7tilde": ("E~7", [("a1", "1", "0"), ("a2", "2", "1"), ("a3", "3", "2"), ("a1'", "1'", "0"),
+                        ("a2'", "2'", "1'"), ("a3'", "3'", "2'"), ("a1''", "1''", "0")]),
+    "e8tilde": ("E~8", [("a1", "1", "0"), ("a2", "2", "1"), ("a3", "3", "2"), ("a4", "4", "3"),
+                        ("a5", "5", "4"), ("a1'", "1'", "0"), ("a2'", "2'", "1'"), ("a1''", "1''", "0")]),
+}
+
 
 class ExtendedFamilyShapes(unittest.TestCase):
+    def test_names_and_arrows(self):
+        for family, (name, arrows) in ARROW_TABLES.items():
+            q = build_extended_dynkin(family, np.eye(1)).quiver
+            self.assertEqual(q.name, name, family)
+            self.assertEqual([(a.name, a.src, a.dst) for a in q.arrows], arrows, family)
+
     def test_dim_vectors(self):
         for family, table in DIM_TABLES.items():
             for k in (1, 2):

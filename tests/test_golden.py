@@ -45,6 +45,7 @@ COMMANDS = {
     "build-d4tilde": ["build", "--family", "d4tilde", "--op", "jordan:3", "--format", "json"],
     "build-e6tilde-file": ["build", "--family", "e6tilde", "--op", "file:inputs/op.txt", "--format", "json"],
     "build-e7tilde-text": ["build", "--family", "e7tilde", "--op", "jordan:2:0.5"],
+    "build-e8tilde-json": ["build", "--family", "e8tilde", "--op", "jordan:2", "--format", "json"],
     "build-antilde": ["build", "--family", "antilde", "--op", "jordan:2", "--format", "json"],
     "cycle-json": ["cycle", "inputs/cycle.txt", "--format", "json"],
     "opmodel-shift-rank-one": ["opmodel", "--pair", "shift-rank-one", "--lambda", "seq:reciprocal",

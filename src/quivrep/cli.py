@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import builders, cyclic, hom, opmodels, reflection, textio, verify
+from . import builders, cyclic, hom, linalg, opmodels, reflection, textio, verify
 from .config import IDEM_TOL, TOL
 from .errors import ParseError, PreconditionError
 from .quiver import kronecker_quiver
@@ -254,8 +254,8 @@ def _cmd_opmodel(args, echo):
         size=n,
         sigma_min_a=float(sa[-1]),
         sigma_min_b=float(sb[-1]),
-        ker_dim_a=int(n - np.linalg.matrix_rank(pair.a)),
-        ker_dim_b=int(n - np.linalg.matrix_rank(pair.b)),
+        ker_dim_a=int(np.sum(sa <= linalg.svd_cutoff(sa, pair.a.shape))),
+        ker_dim_b=int(np.sum(sb <= linalg.svd_cutoff(sb, pair.b.shape))),
     )
     if args.density:
         v = opmodels.density_criterion(lam, w)

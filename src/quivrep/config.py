@@ -8,6 +8,9 @@ TOL: ContextVar[float] = ContextVar("TOL", default=1e-9)
 # Nullspace / rank cutoff: a singular value counts as zero when it is
 # <= sigma_max * max(rows, cols) * SVD_FACTOR.
 SVD_FACTOR = 2.0**-40
+# A pivot of the Hom elimination needs sigma_min > PIVOT_TOL * max(sigma_max, the
+# largest entry of the system): it then amplifies rounding error at most ~1/PIVOT_TOL.
+PIVOT_TOL = 1e-3
 # Eigenvalue clusters are merged while closer than CLUSTER_GAP * spectral radius.
 CLUSTER_GAP = 1e-6
 # Acceptance threshold for idempotent residuals and End-membership residuals.

@@ -1,24 +1,33 @@
 """Intertwiner spaces: basis computation, transitivity, idempotents, isomorphisms.
 
 The space Hom(r1, r2) = { (T_v) : T_dst f_a = g_a T_src for every arrow } is
-computed as the nullspace of one stacked linear system over the concatenated
-blocks (vertices in quiver order, matrices flattened row-major), after the
-blocks that an isometric arrow or a vertex's arms determine are substituted
-(see hom_basis).
+the nullspace of one stacked linear system, one row block per arrow.  Before
+anything is assembled, one block-pivot elimination (see `hom_basis`) solves
+for every vertex block that some row blocks determine; only the rows and
+unknowns left are assembled and factored.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .config import IDEM_TOL, IDEM_TRIALS, ISO_TRIALS, SVD_FACTOR
+from .config import IDEM_TOL, IDEM_TRIALS, ISO_TRIALS, PIVOT_TOL
 from .errors import PreconditionError
 from .rep import Hom, Rep, hom_residual, idempotent_defects, is_invertible_hom, make_hom
+
+
+class Pivot(NamedTuple):
+    """One elimination step: the block at `vertex` solved from the row blocks of `arrows`."""
+
+    vertex: str
+    arrows: tuple[str, ...]
 
 
 @dataclass
@@ -27,8 +36,9 @@ class HomBasis:
 
     `blocks` maps each vertex v to one (dim, target dim v, source dim v) array
     stacking the basis elements' blocks at v; the Homs in `basis` hold views
-    into it.  `system_shape` and `tol_used` describe the system that was
-    factored: the one left after eliminating determined blocks (see `hom_basis`).
+    into it.  The elimination plan is `pivots`, in the order they were taken,
+    and `system_shape`, the system actually factored (its columns are the
+    unknowns left); `tol_used` is that factorization's cutoff.
     """
 
     source: Rep
@@ -37,6 +47,7 @@ class HomBasis:
     blocks: dict[str, np.ndarray]
     tol_used: float
     system_shape: tuple[int, int] = (0, 0)
+    pivots: tuple[Pivot, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -48,175 +59,142 @@ class HomBasis:
         return hom_residual(self.source, self.target, self.blocks)
 
 
-def _block_layout(source: Rep, target: Rep):
-    """Offsets of each vertex block inside the concatenated unknown vector."""
-    offsets, sizes = {}, {}
-    pos = 0
-    for v in source.quiver.vertices:
-        size = target.dims[v] * source.dims[v]
-        offsets[v], sizes[v] = pos, size
-        pos += size
-    return offsets, sizes, pos
+def _pivot_blocks(width: int, cands: list, ref: float, svd):
+    """Those candidates (i, L, R) that determine a root with `width` source columns, or None.
 
-
-def _is_isometry(g) -> bool:
-    """|g*g - I| <= max(g.shape) * SVD_FACTOR, for g with at least one column."""
-    rows, cols = g.shape
-    tol = max(rows, cols) * SVD_FACTOR
-    if rows < cols:
-        return False
-    # |g*g - I| is at least |(g*g)_00 - 1|, and that rules out most matrices cheaply
-    if abs(np.vdot(g[:, 0], g[:, 0]) - 1) > tol:
-        return False
-    return bool(np.linalg.norm(g.conj().T @ g - np.eye(cols)) <= tol)
-
-
-def _eliminated_arrows(q, source: Rep, target: Rep) -> dict:
-    """Vertex u -> the arrow a: u -> v that determines T_u = g* T_v f.
-
-    u qualifies when its block is not empty, a is its only outgoing arrow, a
-    is not a loop, the target's matrix g for a is an isometry, and following
-    the arrows already chosen from v never comes back to u (so every oriented
-    cycle of unitary arrows keeps one unknown block).
+    Row block i holds the root once, as L T R; the blocks taken come back as
+    (i, SVD of L, R), in the order taken.  With the blocks taken stacked in
+    F = [R_j], T -> (L_j T R_j)_j has singular values between lo = min
+    sigma_min(L_j) * sigma_min(F) and hi = max sigma_max(L_j) * sigma_max(F).
+    Block column pivoting takes, step by step, the block of largest lo among
+    those that complete `width`, else among those that leave a width the rest
+    can fill exactly; near ties keep the earlier block.  The square F qualifies
+    when lo > PIVOT_TOL * max(hi, ref), `ref` being the scale of the system.
     """
-    outgoing = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        outgoing[a.src].append(a)
-    chosen = {}
-    for u in q.vertices:
-        if not (source.dims[u] and target.dims[u]) or len(outgoing[u]) != 1 or outgoing[u][0].dst == u:
-            continue
-        a = outgoing[u][0]
-        if not _is_isometry(target.mats[a.name]):
-            continue
-        w = a.dst
-        while w in chosen and w != u:
-            w = chosen[w].dst
-        if w != u:
-            chosen[u] = a
-    return chosen
-
-
-def _determined_by_arms(q, source: Rep, chosen: dict) -> dict:
-    """Vertex v -> [(a_i, (F^-1)_i)]: the arms a_i: u_i -> v with T_v = sum_i g_i T_{u_i} (F^-1)_i.
-
-    v qualifies when `chosen` does not eliminate it and its source block is not
-    empty.  Its incoming non-loop arrows not from vertices determined here are
-    taken in quiver order while their columns fit; they must fill dim v with an
-    invertible F = [f_1 ... f_k].  Their elimination through v leaves `chosen`.
-    """
-    determined = {}
-    for v in q.vertices:
-        width = source.dims[v]
-        if v in chosen or not width:
-            continue
-        arms, taken = [], 0  # (arrow, its rows of F^-1)
-        for a in q.arrows:
-            cols = source.dims[a.src]
-            if a.dst == v and a.src != v and a.src not in determined and taken + cols <= width:
-                arms.append((a, slice(taken, taken + cols)))
-                taken += cols
-        if taken < width:
-            continue
-        f = np.hstack([source.mats[a.name] for a, _ in arms])
-        if not linalg.is_invertible(f):
-            continue
-        finv = np.linalg.inv(f)
-        determined[v] = [(a, finv[rows]) for a, rows in arms]
-        for a, _ in arms:
-            chosen.pop(a.src, None)
-    return determined
+    if sum(r.shape[1] for _, _, r in cands) < width:
+        return None
+    cands = [(i, svd(l), r) for i, l, r in cands]
+    rest = [c for c in cands if c[1][1][-1] > PIVOT_TOL * c[1][1][0]]  # full column rank
+    taken, left = [], width
+    while left:
+        best = None
+        for c in [c for c in rest if c[2].shape[1] == left] or rest:
+            sums = 1  # bit k: the other blocks can fill width k
+            for d in rest:
+                sums |= 0 if d is c else sums << d[2].shape[1]
+            if c[2].shape[1] > left or not sums >> (left - c[2].shape[1]) & 1:
+                continue
+            s = np.linalg.svd(np.hstack([t[2] for t in taken] + [c[2]]), compute_uv=False) if taken else svd(c[2])[1]
+            lo = s[-1] * min(t[1][1][-1] for t in taken + [c])
+            if best is None or lo > best_lo * (1 + 1e-8):
+                best, best_lo, best_s = c, lo, s
+        if best is None:
+            return None
+        taken.append(best)
+        rest.remove(best)
+        left -= best[2].shape[1]
+    hi = max(t[1][1][0] for t in taken) * best_s[0]
+    return taken if best_lo > PIVOT_TOL * max(hi, ref) else None
 
 
 def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
-    """Orthonormal basis of Hom(r1, r2).
+    """Orthonormal basis of Hom(r1, r2), by block-pivot elimination.
 
-    A vertex u whose only outgoing arrow a: u -> v carries an isometry g in r2
-    (see `_eliminated_arrows`) is not solved for: T_u = g* T_v f, and arrow a
-    keeps only the rows K* T_v f = 0, K an orthonormal basis of range(g)^perp.
-    Nor is a vertex v determined by its arms (see `_determined_by_arms`):
-    T_v = sum_i g_i T_{u_i} (F^-1)_i, and the arms keep no rows.  Each block is
-    a short sum of terms L T_root R over the remaining (root) blocks, which are
-    solved as one stacked nullspace; the solution is lifted to every vertex and
-    re-orthonormalized.  With nothing to eliminate this is the plain Kronecker
-    system over all blocks.
+    Arrow a: u -> v gives the row block T_v f_a - g_a T_u = 0, kept as a list of
+    terms L T_root R over the blocks still unknown (the roots).  A pivot is a
+    root u and row blocks j that hold u once, as L_j T_u R_j, with L_j of full
+    column rank and F = [R_j] square (see `_pivot_blocks`).  With L_j = U_j
+    S_j V_j* and U_j = [P_j K_j], the rows P_j* give T_u = -sum_j L_j^+ (rest of
+    block j) (F^-1)_j, which is substituted into the other row blocks, and the
+    rows K_j* of block j stay.  An isometric or injective g (L = g, R = 1) and
+    arms that fill their head (L = 1, R = [f_1 ... f_k]) are such pivots.
+    Roots are tried largest block first, then fewest row blocks, then in quiver
+    order, until none qualifies.  What is left is assembled and factored once,
+    with the cutoff relative to the full system's shape and, after a pivot, to
+    at least its largest entry; the nullspace is lifted back through the pivots
+    and re-orthonormalized.  With no pivot it is the plain Kronecker system.
     """
     if r1.quiver != r2.quiver:
         raise ValueError("hom spaces need representations of the same quiver")
     q = r1.quiver
-    offsets, sizes, total = _block_layout(r1, r2)
-    chosen = _eliminated_arrows(q, r1, r2)
-    determined = _determined_by_arms(q, r1, chosen)
-    arms = {a.name for terms in determined.values() for a, _ in terms}
-    # T_v = sum of left @ T_root @ right over the terms of v
-    subst = {}
+    d1, d2 = r1.dims, r2.dims
+    sizes = {v: d2[v] * d1[v] for v in q.vertices}
+    offsets = dict(zip(q.vertices, accumulate(sizes.values(), initial=0)))
+    full_shape = (sum(d2[a.dst] * d1[a.src] for a in q.arrows), sum(sizes.values()))
+    svds = {}  # id(m) -> (m, SVD of m); shared identities have theirs already
 
-    def substitution(v):
-        if v not in subst:
-            if v in determined:
-                subst[v] = [(root, r2.mats[a.name] @ left, right @ finv)
-                            for a, finv in determined[v] for root, left, right in substitution(a.src)]
-            elif v in chosen:
-                a = chosen[v]
-                subst[v] = [(root, r2.mats[a.name].conj().T @ left, right @ r1.mats[a.name])
-                            for root, left, right in substitution(a.dst)]
-            else:
-                subst[v] = [(v, np.eye(r2.dims[v]), np.eye(r1.dims[v]))]
-        return subst[v]
+    def svd(m):
+        if id(m) not in svds:
+            svds[id(m)] = (m, np.linalg.svd(m))
+        return svds[id(m)][1]
 
-    cols = {}  # root blocks keep their quiver order and row-major layout
-    pos = 0
-    for v in q.vertices:
-        if v not in chosen and v not in determined:
-            cols[v] = slice(pos, pos + sizes[v])
-            pos += sizes[v]
-
-    def add_term(block, v, left, right):
-        # block += matrix of T_root -> left @ T_v @ right, T_v substituted (row-major vec)
-        for root, lv, rv in substitution(v):
-            block[:, cols[root]] += np.kron(left @ lv, (rv @ right).T)
-
-    blocks = []
+    eye = {n: np.eye(n) for n in {*d1.values(), *d2.values()}}
+    svds.update({id(i): (i, (i, np.ones(len(i)), i)) for i in eye.values()})
+    rows = []  # (arrow name, terms): sum of L @ T_root @ R over the terms = 0
+    ref = 0.0  # the largest entry of the full system: a lower bound on its norm
     for a in q.arrows:
-        if a.name in arms:
-            continue
-        f = r1.mats[a.name]  # dim1(dst) x dim1(src)
-        g = r2.mats[a.name]  # dim2(dst) x dim2(src)
-        if chosen.get(a.src) is a:
-            # K* T_dst f = 0
-            k_adj = linalg.orth_complement(g).conj().T
-            block = np.zeros((k_adj.shape[0] * r1.dims[a.src], pos), dtype=complex)
-            add_term(block, a.dst, k_adj, f)
-        else:
-            # T_dst f - g T_src = 0
-            block = np.zeros((r2.dims[a.dst] * r1.dims[a.src], pos), dtype=complex)
-            add_term(block, a.dst, np.eye(r2.dims[a.dst]), f)
-            add_term(block, a.src, -g, np.eye(r1.dims[a.src]))
-        blocks.append(block)
+        f, g = r1.mats[a.name], r2.mats[a.name]
+        if d2[a.dst] * d1[a.src]:
+            if a.src != a.dst:
+                ref = max([ref] + [float(np.abs(m).max()) for m in (f, g) if m.size])
+            terms = [t for t in ((a.dst, eye[d2[a.dst]], f), (a.src, -g, eye[d1[a.src]])) if sizes[t[0]]]
+            rows += [(a.name, terms)] if terms else []
 
-    system = np.vstack(blocks) if blocks else np.zeros((0, pos), dtype=complex)
-    # An eliminated isometry g is a block of norm 1 in the full system, and F F^-1
-    # = 1, so the cutoff is relative to at least 1: substitution may cancel a row
-    # down to roundoff (around an oriented cycle of unitaries, for instance).
-    scale = 1.0 if chosen or determined else 0.0
-    s, vectors = linalg.nullspace_with_values(system, scale)
-    tol_used = linalg.svd_cutoff(s, system.shape, scale)
+    roots = [v for v in q.vertices if sizes[v]]
+    solved, pivots = [], []  # solved: (u, terms of T_u over the roots left then)
+    while True:
+        occurs = Counter(v for _, terms in rows for v in {t[0] for t in terms})
+        for u in sorted(roots, key=lambda v: (-sizes[v], occurs[v])):
+            hits = [(i, [t for t in terms if t[0] == u]) for i, (_, terms) in enumerate(rows)]
+            taken = _pivot_blocks(d1[u], [(i, h[0][1], h[0][2]) for i, h in hits if len(h) == 1
+                                          and h[0][1].shape[0] >= d2[u] and h[0][2].shape[1] <= d1[u]], ref, svd)
+            if taken:
+                break
+        else:
+            break
+        one = len(taken) == 1 and taken[0][2] is eye[d1[u]]
+        finv = eye[d1[u]] if one else np.linalg.inv(np.hstack([r for _, _, r in taken]))
+        expr, kept, col = [], {}, 0
+        for i, (uu, s, vh), r in taken:
+            rest = [t for t in rows[i][1] if t[0] != u]
+            pinv = (vh.conj().T / s) @ uu[:, : len(s)].conj().T
+            expr += [(w, -(pinv @ lw), rw @ finv[col : col + r.shape[1]]) for w, lw, rw in rest]
+            col += r.shape[1]
+            kh = uu[:, len(s) :].conj().T
+            kept[i] = [(w, kh @ lw, rw) for w, lw, rw in rest] if len(kh) else []
+        pivots.append(Pivot(u, tuple(rows[i][0] for i, _, _ in taken)))
+        rows = [(name, kept[i] if i in kept else [t for t in terms if t[0] != u] + [
+            (w, l @ lw, rw @ r) for v, l, r in terms if v == u for w, lw, rw in expr])
+            for i, (name, terms) in enumerate(rows)]
+        rows = [row for row in rows if row[1]]
+        solved.append((u, expr))
+        roots.remove(u)
+
+    cols = dict(zip(roots, accumulate((sizes[v] for v in roots), initial=0)))  # quiver order
+    pos = sum(sizes[v] for v in roots)
+    system = np.zeros((sum(t[0][1].shape[0] * t[0][2].shape[1] for _, t in rows), pos), dtype=complex)
+    row = 0
+    for _, terms in rows:
+        p = terms[0][1].shape[0] * terms[0][2].shape[1]
+        for v, l, r in terms:  # vec(L T R) = kron(L, R^T) vec(T), row-major
+            system[row : row + p, cols[v] : cols[v] + sizes[v]] += (
+                l[:, None, :, None] * r.T[None, :, None, :]).reshape(p, sizes[v])
+        row += p
+    scale = ref if pivots else 0.0
+    s, vectors = linalg.nullspace_with_values(system, scale, full_shape)
+    tol_used = linalg.svd_cutoff(s, full_shape, scale)
     m = vectors.shape[1]
 
-    if scale and m:
-        roots = {v: vectors[c].T.reshape(m, r2.dims[v], r1.dims[v]) for v, c in cols.items()}
-        lifted = np.empty((total, m), dtype=complex)
-        for v in q.vertices:
-            x = sum(left @ roots[root] @ right for root, left, right in substitution(v))
-            lifted[offsets[v] : offsets[v] + sizes[v]] = x.reshape(m, sizes[v]).T
-        vectors = linalg.phase_normalize(np.linalg.qr(lifted)[0])
+    if pivots and m:
+        x = {v: vectors[c : c + sizes[v]].T.reshape(m, d2[v], d1[v]) for v, c in cols.items()}
+        for u, expr in reversed(solved):
+            x[u] = sum((l @ x[w] @ r for w, l, r in expr), np.zeros((m, d2[u], d1[u]), dtype=complex))
+        lifted = np.concatenate([x[v].reshape(m, -1) if v in x else np.zeros((m, 0)) for v in q.vertices], axis=1)
+        vectors = linalg.phase_normalize(np.linalg.qr(lifted.T)[0])
 
-    blocks = {
-        v: vectors[offsets[v] : offsets[v] + sizes[v]].T.reshape(m, r2.dims[v], r1.dims[v])
-        for v in q.vertices
-    }
+    blocks = {v: vectors[offsets[v] : offsets[v] + sizes[v]].T.reshape(m, d2[v], d1[v]) for v in q.vertices}
     basis = [make_hom(r1, r2, {v: b[j] for v, b in blocks.items()}) for j in range(m)]
-    return HomBasis(r1, r2, basis, blocks, tol_used, system.shape)
+    return HomBasis(r1, r2, basis, blocks, tol_used, system.shape, tuple(pivots))
 
 
 def end_basis(r: Rep) -> HomBasis:

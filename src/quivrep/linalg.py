@@ -59,16 +59,17 @@ def matrix_rank(a) -> int:
     return int(np.sum(s > svd_cutoff(s, a.shape)))
 
 
-def nullspace_with_values(a, scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def nullspace_with_values(a, scale: float = 0.0, shape=None) -> tuple[np.ndarray, np.ndarray]:
     """(singular values, orthonormal nullspace columns) from one factorization.
 
-    `scale` raises the cutoff's reference as in `svd_cutoff`.
+    The cutoff is `svd_cutoff(s, shape, scale)`; a system reduced from a larger
+    one passes that system's shape and a lower bound on its norm.
     """
     a = np.asarray(a, dtype=complex)
     rows, cols = a.shape
     # a tall system needs only the thin U; Vh is complete either way
     _, s, vh = np.linalg.svd(real_if_exact(a), full_matrices=rows < cols)
-    rank = int(np.sum(s > svd_cutoff(s, a.shape, scale)))
+    rank = int(np.sum(s > svd_cutoff(s, a.shape if shape is None else shape, scale)))
     return s, phase_normalize(vh[rank:].conj().T)
 
 
@@ -122,16 +123,6 @@ def is_invertible(a) -> bool:
     if s[0] == 0.0:
         return False
     return bool(s[-1] > TOL.get() * s[0])
-
-
-def left_mult_matrix(c, ncols: int) -> np.ndarray:
-    """M with M @ vec(T) = vec(C @ T) for row-major vec and T with `ncols` columns."""
-    return np.kron(np.asarray(c, dtype=complex), np.eye(ncols))
-
-
-def right_mult_matrix(b, nrows: int) -> np.ndarray:
-    """M with M @ vec(T) = vec(T @ B) for row-major vec and T with `nrows` rows."""
-    return np.kron(np.eye(nrows), np.asarray(b, dtype=complex).T)
 
 
 def connected_components(n: int, edges) -> list[list[int]]:

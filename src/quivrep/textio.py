@@ -76,7 +76,10 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def format_matrix(m) -> str:
+    """`[[a, b]; [c, d]]`; an imaginary part within 64 eps max|m| is roundoff and prints as 0."""
     m = np.asarray(m, dtype=complex)
+    if m.size:
+        m = np.where(np.abs(m.imag) <= 64 * np.finfo(float).eps * np.abs(m).max(), m.real + 0j, m)
     rows = ["[" + ", ".join(fmt_complex(z) for z in row) + "]" for row in m]
     return "[" + "; ".join(rows) + "]"
 

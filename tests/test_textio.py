@@ -43,6 +43,14 @@ def test_matrix_round_trip():
         assert np.array_equal(again, m)  # repr round-trips doubles exactly
 
 
+def test_roundoff_imaginary_parts_print_as_zero():
+    # within 64 eps of the largest entry: roundoff, printed as a real number
+    assert format_matrix([[0.86 + 1.1e-18j, 2j], [0.5 - 1.5e-17j, 0]]) == "[[0.86, 2j]; [0.5, 0]]"
+    # relative to that entry, not to 1: a small matrix keeps its imaginary parts
+    assert format_matrix([[1e-18j, 1e-18 + 1e-20j]]) == "[[1e-18j, 1e-18+1e-20j]]"
+    assert format_matrix(np.zeros((0, 2))) == "[]"
+
+
 def test_parse_matrix_shapes_and_errors():
     assert parse_matrix("[[1, 2]; [3, 4]]").shape == (2, 2)
     assert parse_matrix("[[]]").shape == (1, 0)

@@ -59,42 +59,144 @@ class HomBasis:
         return hom_residual(self.source, self.target, self.blocks)
 
 
-def _pivot_blocks(width: int, cands: list, ref: float, svd):
-    """Those candidates (i, L, R) that determine a root with `width` source columns, or None.
+class _SVDCache:
+    """SVDs of term matrices, keyed by identity, and one shared identity matrix per size."""
 
-    Row block i holds the root once, as L T R; the blocks taken come back as
-    (i, SVD of L, R), in the order taken.  With the blocks taken stacked in
-    F = [R_j], T -> (L_j T R_j)_j has singular values between lo = min
-    sigma_min(L_j) * sigma_min(F) and hi = max sigma_max(L_j) * sigma_max(F).
-    Block column pivoting takes, step by step, the block of largest lo among
-    those that complete `width`, else among those that leave a width the rest
-    can fill exactly; near ties keep the earlier block.  The square F qualifies
-    when lo > PIVOT_TOL * max(hi, ref), `ref` being the scale of the system.
+    def __init__(self):
+        self._svds = {}  # id(m) -> (m, SVD of m), m kept alive so that its id stays unique
+        self._eyes = {}
+
+    def eye(self, n: int) -> np.ndarray:
+        if n not in self._eyes:
+            i = self._eyes[n] = np.eye(n)
+            self._svds[id(i)] = (i, (i, np.ones(n), i))
+        return self._eyes[n]
+
+    def __call__(self, m: np.ndarray):
+        if id(m) not in self._svds:
+            self._svds[id(m)] = (m, np.linalg.svd(m))
+        return self._svds[id(m)][1]
+
+
+class _Candidate(NamedTuple):
+    """Row block `index`, which holds a root once as L T R, with L = u diag(s) vh."""
+
+    index: int
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    r: np.ndarray
+
+
+def _can_fill(widths, total: int) -> bool:
+    """Whether some of `widths` sum to exactly `total`."""
+    reachable = 1  # bit k is set when some of the widths seen so far sum to k
+    for w in widths:
+        reachable |= reachable << w
+    return bool(reachable >> total & 1)
+
+
+def _pivot_blocks(width: int, blocks: list, ref: float, svd: _SVDCache) -> list[_Candidate] | None:
+    """Those of `blocks` that determine a root with `width` source columns, in the order taken, or None.
+
+    Each block (index, L, R) holds the root once, as L T R.  With the blocks
+    taken stacked in F = [R_j], T -> (L_j T R_j)_j has singular values between
+    lo = min sigma_min(L_j) * sigma_min(F) and hi = max sigma_max(L_j) *
+    sigma_max(F).  Block column pivoting takes, step by step, the block of
+    largest lo among those that complete `width`, else among those that leave a
+    width the rest can fill exactly; near ties keep the earlier block.  The square F qualifies when lo > PIVOT_TOL * max(hi, ref), `ref`
+    being the scale of the system.
     """
-    if sum(r.shape[1] for _, _, r in cands) < width:
+    if sum(r.shape[1] for _, _, r in blocks) < width:
         return None
-    cands = [(i, svd(l), r) for i, l, r in cands]
-    rest = [c for c in cands if c[1][1][-1] > PIVOT_TOL * c[1][1][0]]  # full column rank
+    cands = [_Candidate(i, *svd(l), r) for i, l, r in blocks]
+    rest = [c for c in cands if c.s[-1] > PIVOT_TOL * c.s[0]]  # L of full column rank
     taken, left = [], width
     while left:
         best = None
-        for c in [c for c in rest if c[2].shape[1] == left] or rest:
-            sums = 1  # bit k: the other blocks can fill width k
-            for d in rest:
-                sums |= 0 if d is c else sums << d[2].shape[1]
-            if c[2].shape[1] > left or not sums >> (left - c[2].shape[1]) & 1:
+        for c in [c for c in rest if c.r.shape[1] == left] or rest:
+            k = c.r.shape[1]
+            if k > left or not _can_fill((d.r.shape[1] for d in rest if d is not c), left - k):
                 continue
-            s = np.linalg.svd(np.hstack([t[2] for t in taken] + [c[2]]), compute_uv=False) if taken else svd(c[2])[1]
-            lo = s[-1] * min(t[1][1][-1] for t in taken + [c])
+            if taken:
+                f_values = np.linalg.svd(np.hstack([t.r for t in taken] + [c.r]), compute_uv=False)
+            else:
+                f_values = svd(c.r)[1]
+            lo = f_values[-1] * min(t.s[-1] for t in taken + [c])
             if best is None or lo > best_lo * (1 + 1e-8):
-                best, best_lo, best_s = c, lo, s
+                best, best_lo, best_f_values = c, lo, f_values
         if best is None:
             return None
         taken.append(best)
         rest.remove(best)
-        left -= best[2].shape[1]
-    hi = max(t[1][1][0] for t in taken) * best_s[0]
+        left -= best.r.shape[1]
+    hi = max(t.s[0] for t in taken) * best_f_values[0]
     return taken if best_lo > PIVOT_TOL * max(hi, ref) else None
+
+
+def _eliminate(rows: list, roots: list[str], d1, d2, ref: float, svd: _SVDCache):
+    """Take pivots until none qualifies: (rows left, roots left, solved, pivots).
+
+    `solved` lists (u, terms of T_u over the roots left when u was solved for),
+    in the order the pivots were taken.
+    """
+    sizes = {v: d2[v] * d1[v] for v in roots}
+    roots, solved, pivots = list(roots), [], []
+    while True:
+        occurs = Counter(v for _, terms in rows for v in {t[0] for t in terms})
+        for u in sorted(roots, key=lambda v: (-sizes[v], occurs[v])):
+            blocks = []
+            for i, (_, terms) in enumerate(rows):
+                hits = [t for t in terms if t[0] == u]
+                if len(hits) == 1 and hits[0][1].shape[0] >= d2[u] and hits[0][2].shape[1] <= d1[u]:
+                    blocks.append((i, hits[0][1], hits[0][2]))
+            taken = _pivot_blocks(d1[u], blocks, ref, svd)
+            if taken:
+                break
+        else:
+            return rows, roots, solved, pivots
+        one = len(taken) == 1 and taken[0].r is svd.eye(d1[u])
+        finv = svd.eye(d1[u]) if one else np.linalg.inv(np.hstack([c.r for c in taken]))
+        expr, kept, col = [], {}, 0
+        for c in taken:
+            rest = [t for t in rows[c.index][1] if t[0] != u]
+            rank = len(c.s)
+            pinv = (c.vh.conj().T / c.s) @ c.u[:, :rank].conj().T
+            f_block = finv[col : col + c.r.shape[1]]
+            expr += [(w, -(pinv @ lw), rw @ f_block) for w, lw, rw in rest]
+            col += c.r.shape[1]
+            kh = c.u[:, rank:].conj().T  # rows orthogonal to range(L) stay
+            kept[c.index] = [(w, kh @ lw, rw) for w, lw, rw in rest] if len(kh) else []
+        pivots.append(Pivot(u, tuple(rows[c.index][0] for c in taken)))
+        new_rows = []
+        for i, (name, terms) in enumerate(rows):
+            if i in kept:
+                new_terms = kept[i]
+            else:
+                new_terms = [t for t in terms if t[0] != u]
+                for v, l, r in terms:
+                    if v == u:
+                        new_terms += [(w, l @ lw, rw @ r) for w, lw, rw in expr]
+            if new_terms:
+                new_rows.append((name, new_terms))
+        rows = new_rows
+        solved.append((u, expr))
+        roots.remove(u)
+
+
+def _assemble(rows: list, roots: list[str], sizes) -> tuple[np.ndarray, dict[str, int]]:
+    """The Kronecker system of `rows` over `roots` (in that order), and each root's first column."""
+    cols = dict(zip(roots, accumulate((sizes[v] for v in roots), initial=0)))
+    system = np.zeros((sum(t[0][1].shape[0] * t[0][2].shape[1] for _, t in rows), sum(sizes[v] for v in roots)),
+                      dtype=complex)
+    row = 0
+    for _, terms in rows:
+        p = terms[0][1].shape[0] * terms[0][2].shape[1]
+        for v, l, r in terms:  # vec(L T R) = kron(L, R^T) vec(T), row-major
+            system[row : row + p, cols[v] : cols[v] + sizes[v]] += (
+                l[:, None, :, None] * r.T[None, :, None, :]).reshape(p, sizes[v])
+        row += p
+    return system, cols
 
 
 def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
@@ -113,6 +215,11 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     with the cutoff relative to the full system's shape and, after a pivot, to
     at least its largest entry; the nullspace is lifted back through the pivots
     and re-orthonormalized.  With no pivot it is the plain Kronecker system.
+
+    The pivots amplify rounding by up to 1/PIVOT_TOL, and a nullspace moves by
+    about eps sigma_1 / gap under rounding, gap the smallest singular value
+    kept.  So when the reduced system's gap is within 1/PIVOT_TOL of the
+    cutoff, the plan is dropped and the full system is factored as it stands.
     """
     if r1.quiver != r2.quiver:
         raise ValueError("hom spaces need representations of the same quiver")
@@ -121,15 +228,7 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     sizes = {v: d2[v] * d1[v] for v in q.vertices}
     offsets = dict(zip(q.vertices, accumulate(sizes.values(), initial=0)))
     full_shape = (sum(d2[a.dst] * d1[a.src] for a in q.arrows), sum(sizes.values()))
-    svds = {}  # id(m) -> (m, SVD of m); shared identities have theirs already
-
-    def svd(m):
-        if id(m) not in svds:
-            svds[id(m)] = (m, np.linalg.svd(m))
-        return svds[id(m)][1]
-
-    eye = {n: np.eye(n) for n in {*d1.values(), *d2.values()}}
-    svds.update({id(i): (i, (i, np.ones(len(i)), i)) for i in eye.values()})
+    svd = _SVDCache()
     rows = []  # (arrow name, terms): sum of L @ T_root @ R over the terms = 0
     ref = 0.0  # the largest entry of the full system: a lower bound on its norm
     for a in q.arrows:
@@ -137,52 +236,19 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
         if d2[a.dst] * d1[a.src]:
             if a.src != a.dst:
                 ref = max([ref] + [float(np.abs(m).max()) for m in (f, g) if m.size])
-            terms = [t for t in ((a.dst, eye[d2[a.dst]], f), (a.src, -g, eye[d1[a.src]])) if sizes[t[0]]]
-            rows += [(a.name, terms)] if terms else []
+            terms = [t for t in ((a.dst, svd.eye(d2[a.dst]), f), (a.src, -g, svd.eye(d1[a.src]))) if sizes[t[0]]]
+            if terms:
+                rows.append((a.name, terms))
 
     roots = [v for v in q.vertices if sizes[v]]
-    solved, pivots = [], []  # solved: (u, terms of T_u over the roots left then)
-    while True:
-        occurs = Counter(v for _, terms in rows for v in {t[0] for t in terms})
-        for u in sorted(roots, key=lambda v: (-sizes[v], occurs[v])):
-            hits = [(i, [t for t in terms if t[0] == u]) for i, (_, terms) in enumerate(rows)]
-            taken = _pivot_blocks(d1[u], [(i, h[0][1], h[0][2]) for i, h in hits if len(h) == 1
-                                          and h[0][1].shape[0] >= d2[u] and h[0][2].shape[1] <= d1[u]], ref, svd)
-            if taken:
-                break
-        else:
-            break
-        one = len(taken) == 1 and taken[0][2] is eye[d1[u]]
-        finv = eye[d1[u]] if one else np.linalg.inv(np.hstack([r for _, _, r in taken]))
-        expr, kept, col = [], {}, 0
-        for i, (uu, s, vh), r in taken:
-            rest = [t for t in rows[i][1] if t[0] != u]
-            pinv = (vh.conj().T / s) @ uu[:, : len(s)].conj().T
-            expr += [(w, -(pinv @ lw), rw @ finv[col : col + r.shape[1]]) for w, lw, rw in rest]
-            col += r.shape[1]
-            kh = uu[:, len(s) :].conj().T
-            kept[i] = [(w, kh @ lw, rw) for w, lw, rw in rest] if len(kh) else []
-        pivots.append(Pivot(u, tuple(rows[i][0] for i, _, _ in taken)))
-        rows = [(name, kept[i] if i in kept else [t for t in terms if t[0] != u] + [
-            (w, l @ lw, rw @ r) for v, l, r in terms if v == u for w, lw, rw in expr])
-            for i, (name, terms) in enumerate(rows)]
-        rows = [row for row in rows if row[1]]
-        solved.append((u, expr))
-        roots.remove(u)
-
-    cols = dict(zip(roots, accumulate((sizes[v] for v in roots), initial=0)))  # quiver order
-    pos = sum(sizes[v] for v in roots)
-    system = np.zeros((sum(t[0][1].shape[0] * t[0][2].shape[1] for _, t in rows), pos), dtype=complex)
-    row = 0
-    for _, terms in rows:
-        p = terms[0][1].shape[0] * terms[0][2].shape[1]
-        for v, l, r in terms:  # vec(L T R) = kron(L, R^T) vec(T), row-major
-            system[row : row + p, cols[v] : cols[v] + sizes[v]] += (
-                l[:, None, :, None] * r.T[None, :, None, :]).reshape(p, sizes[v])
-        row += p
-    scale = ref if pivots else 0.0
-    s, vectors = linalg.nullspace_with_values(system, scale, full_shape)
-    tol_used = linalg.svd_cutoff(s, full_shape, scale)
+    left, unknowns, solved, pivots = _eliminate(rows, roots, d1, d2, ref, svd)
+    system, cols = _assemble(left, unknowns, sizes)
+    s, tol_used, vectors = linalg.nullspace_with_values(system, ref if pivots else 0.0, full_shape)
+    gap = s[s > tol_used]
+    if pivots and len(gap) and gap[-1] * PIVOT_TOL <= tol_used:
+        solved, pivots = [], []
+        system, cols = _assemble(rows, roots, sizes)
+        s, tol_used, vectors = linalg.nullspace_with_values(system, 0.0, full_shape)
     m = vectors.shape[1]
 
     if pivots and m:

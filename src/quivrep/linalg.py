@@ -59,23 +59,25 @@ def matrix_rank(a) -> int:
     return int(np.sum(s > svd_cutoff(s, a.shape)))
 
 
-def nullspace_with_values(a, scale: float = 0.0, shape=None) -> tuple[np.ndarray, np.ndarray]:
-    """(singular values, orthonormal nullspace columns) from one factorization.
+def nullspace_with_values(a, scale: float = 0.0, shape=None) -> tuple[np.ndarray, float, np.ndarray]:
+    """(singular values, cutoff, orthonormal nullspace columns) from one factorization.
 
-    The cutoff is `svd_cutoff(s, shape, scale)`; a system reduced from a larger
-    one passes that system's shape and a lower bound on its norm.
+    The cutoff is `svd_cutoff(s, shape, scale)`, `shape` defaulting to the
+    shape of `a`; a system reduced from a larger one passes that system's
+    shape and a lower bound on its norm.
     """
     a = np.asarray(a, dtype=complex)
     rows, cols = a.shape
     # a tall system needs only the thin U; Vh is complete either way
     _, s, vh = np.linalg.svd(real_if_exact(a), full_matrices=rows < cols)
-    rank = int(np.sum(s > svd_cutoff(s, a.shape if shape is None else shape, scale)))
-    return s, phase_normalize(vh[rank:].conj().T)
+    cutoff = svd_cutoff(s, a.shape if shape is None else shape, scale)
+    rank = int(np.sum(s > cutoff))
+    return s, cutoff, phase_normalize(vh[rank:].conj().T)
 
 
 def nullspace(a) -> np.ndarray:
     """Orthonormal columns spanning ker(a), deterministically normalized."""
-    return nullspace_with_values(a)[1]
+    return nullspace_with_values(a)[2]
 
 
 def orth(a) -> np.ndarray:

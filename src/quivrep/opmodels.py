@@ -513,8 +513,9 @@ def subspace_system_end(s: SubspaceSystem) -> SystemEndBasis:
 
     Restriction is injective because every arm is an injection.  Arms that fill
     C^d (E1 = H + 0 and E2 = 0 + H of a four-subspace system) determine T; each
-    other arm leaves K_i* T J_i = 0, K_i spanning range(J_i)^perp: d^2/2 x d^2/2
-    for a four-subspace system in C^d.
+    other arm leaves K_i* T J_i = 0, K_i spanning range(J_i)^perp.  In a
+    four-subspace system in C^d, E4's rows then determine one diagonal block of
+    T from the other, and E3's rows are factored: d^2/4 x d^2/4.
     """
     d = s.ambient
     eb = end_basis(subspace_system_rep(s))

@@ -224,11 +224,18 @@ def test_opmodel_phi_solves_the_system_end_once(monkeypatch, capsys):
 
 def test_opmodel_four_subspace_phi_factors_the_system_once(monkeypatch, capsys):
     pair = opmodels.kron_pair_shift_rank_one("seq:reciprocal", "seq:one-minus-pow:2", 4)
-    rep = opmodels.subspace_system_rep(opmodels.four_subspace_from_pair(pair))
     # End of the pair's Kronecker rep is factored at the same 16 x 16 shape, so
-    # the calls are told apart by the full system each one was reduced from
-    full = (sum(rep.dims[a.dst] * rep.dims[a.src] for a in rep.quiver.arrows), sum(d * d for d in rep.dims.values()))
-    calls = _count_calls(monkeypatch, linalg, "nullspace_with_values")
+    # the factorizations are told apart by the cutoff each one used
+    cutoff = opmodels.subspace_system_end(opmodels.four_subspace_from_pair(pair)).tol_used
+    cutoffs = []
+    original = linalg.nullspace_with_values
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        cutoffs.append(out[1])
+        return out
+
+    monkeypatch.setattr(linalg, "nullspace_with_values", counted)
     code, report = run_json(
         capsys,
         [
@@ -237,7 +244,7 @@ def test_opmodel_four_subspace_phi_factors_the_system_once(monkeypatch, capsys):
         ],
     )
     assert code == 0 and report["four_subspace"]["agree"] is True
-    assert sum(tuple(args[2]) == full for args in calls if len(args) > 2) == 1
+    assert cutoffs.count(cutoff) == 1
 
 
 def test_opmodel_density_with_overflowing_weights(capsys):

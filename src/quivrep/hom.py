@@ -59,25 +59,6 @@ class HomBasis:
         return hom_residual(self.source, self.target, self.blocks)
 
 
-class _SVDCache:
-    """SVDs of term matrices, keyed by identity, and one shared identity matrix per size."""
-
-    def __init__(self):
-        self._svds = {}  # id(m) -> (m, SVD of m), m kept alive so that its id stays unique
-        self._eyes = {}
-
-    def eye(self, n: int) -> np.ndarray:
-        if n not in self._eyes:
-            i = self._eyes[n] = np.eye(n)
-            self._svds[id(i)] = (i, (i, np.ones(n), i))
-        return self._eyes[n]
-
-    def __call__(self, m: np.ndarray):
-        if id(m) not in self._svds:
-            self._svds[id(m)] = (m, np.linalg.svd(m))
-        return self._svds[id(m)][1]
-
-
 class _Candidate(NamedTuple):
     """Row block `index`, which holds a root once as L T R, with L = u diag(s) vh."""
 
@@ -96,7 +77,7 @@ def _can_fill(widths, total: int) -> bool:
     return bool(reachable >> total & 1)
 
 
-def _pivot_blocks(width: int, blocks: list, ref: float, svd: _SVDCache) -> list[_Candidate] | None:
+def _pivot_blocks(width: int, blocks: list, ref: float, svd) -> list[_Candidate] | None:
     """Those of `blocks` that determine a root with `width` source columns, in the order taken, or None.
 
     Each block (index, L, R) holds the root once, as L T R.  With the blocks
@@ -134,11 +115,12 @@ def _pivot_blocks(width: int, blocks: list, ref: float, svd: _SVDCache) -> list[
     return taken if best_lo > PIVOT_TOL * max(hi, ref) else None
 
 
-def _eliminate(rows: list, roots: list[str], d1, d2, ref: float, svd: _SVDCache):
+def _eliminate(rows: list, roots: list[str], d1, d2, ref: float, svd, eye: dict):
     """Take pivots until none qualifies: (rows left, roots left, solved, pivots).
 
     `solved` lists (u, terms of T_u over the roots left when u was solved for),
-    in the order the pivots were taken.
+    in the order the pivots were taken.  `svd` returns the SVD of a term
+    matrix; `eye` holds the identity matrices the terms share.
     """
     sizes = {v: d2[v] * d1[v] for v in roots}
     roots, solved, pivots = list(roots), [], []
@@ -155,8 +137,8 @@ def _eliminate(rows: list, roots: list[str], d1, d2, ref: float, svd: _SVDCache)
                 break
         else:
             return rows, roots, solved, pivots
-        one = len(taken) == 1 and taken[0].r is svd.eye(d1[u])
-        finv = svd.eye(d1[u]) if one else np.linalg.inv(np.hstack([c.r for c in taken]))
+        one = len(taken) == 1 and taken[0].r is eye[d1[u]]
+        finv = eye[d1[u]] if one else np.linalg.inv(np.hstack([c.r for c in taken]))
         expr, kept, col = [], {}, 0
         for c in taken:
             rest = [t for t in rows[c.index][1] if t[0] != u]
@@ -228,7 +210,15 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     sizes = {v: d2[v] * d1[v] for v in q.vertices}
     offsets = dict(zip(q.vertices, accumulate(sizes.values(), initial=0)))
     full_shape = (sum(d2[a.dst] * d1[a.src] for a in q.arrows), sum(sizes.values()))
-    svd = _SVDCache()
+    eye = {n: np.eye(n) for n in {*d1.values(), *d2.values()}}
+    # id(m) -> (m, SVD of m), holding m so that its id stays unique; identities are known
+    svds = {id(i): (i, (i, np.ones(len(i)), i)) for i in eye.values()}
+
+    def svd(m):
+        if id(m) not in svds:
+            svds[id(m)] = (m, np.linalg.svd(m))
+        return svds[id(m)][1]
+
     rows = []  # (arrow name, terms): sum of L @ T_root @ R over the terms = 0
     ref = 0.0  # the largest entry of the full system: a lower bound on its norm
     for a in q.arrows:
@@ -236,16 +226,16 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
         if d2[a.dst] * d1[a.src]:
             if a.src != a.dst:
                 ref = max([ref] + [float(np.abs(m).max()) for m in (f, g) if m.size])
-            terms = [t for t in ((a.dst, svd.eye(d2[a.dst]), f), (a.src, -g, svd.eye(d1[a.src]))) if sizes[t[0]]]
+            terms = [t for t in ((a.dst, eye[d2[a.dst]], f), (a.src, -g, eye[d1[a.src]])) if sizes[t[0]]]
             if terms:
                 rows.append((a.name, terms))
 
     roots = [v for v in q.vertices if sizes[v]]
-    left, unknowns, solved, pivots = _eliminate(rows, roots, d1, d2, ref, svd)
+    left, unknowns, solved, pivots = _eliminate(rows, roots, d1, d2, ref, svd, eye)
     system, cols = _assemble(left, unknowns, sizes)
     s, tol_used, vectors = linalg.nullspace_with_values(system, ref if pivots else 0.0, full_shape)
-    gap = s[s > tol_used]
-    if pivots and len(gap) and gap[-1] * PIVOT_TOL <= tol_used:
+    kept = s[s > tol_used]  # the gap is the smallest of these
+    if pivots and len(kept) and kept[-1] * PIVOT_TOL <= tol_used:
         solved, pivots = [], []
         system, cols = _assemble(rows, roots, sizes)
         s, tol_used, vectors = linalg.nullspace_with_values(system, 0.0, full_shape)

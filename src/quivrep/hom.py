@@ -284,11 +284,11 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
     """Search End for an idempotent other than 0 and 1.
 
     Draws random elements T of the algebra, clusters the joint spectrum of the
-    vertex blocks, and takes the spectral projection of each block onto one
-    cluster.  The projection is a polynomial in T, hence lands in End exactly;
-    residual checks guard the numerics.  Of e and 1 - e it returns the one
-    whose rank vector (round(tr e_v) in quiver vertex order) is smaller
-    lexicographically, e on a tie.  Returns None when every trial fails (in
+    vertex blocks, and takes the spectral projection of each block onto the
+    cluster farthest from the others.  The projection is a polynomial in T,
+    hence lands in End exactly; residual checks guard the numerics.  Of e and
+    1 - e it returns the one whose rank vector (round(tr e_v) in quiver vertex
+    order) is smaller lexicographically, e on a tie.  Returns None when every trial fails (in
     particular when dim End <= 1).
     """
     if eb.source is not eb.target and eb.source.dims != eb.target.dims:
@@ -308,9 +308,14 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
         if len(clusters) < 2:
             continue
         centroids = np.array([np.mean(all_eigs[idx]) for idx in clusters])
+        # project onto the cluster farthest from the others (the first on a tie): rounding
+        # splits an eigenvalue of a Jordan block into clusters that lie close together, and
+        # the projection onto one such fragment fails the checks below
+        separation = [np.abs(all_eigs[idx][:, None] - np.delete(all_eigs, idx)).min() for idx in clusters]
+        chosen = int(np.argmax(separation))
 
-        def select(z, centroids=centroids):
-            return int(np.argmin(np.abs(centroids - z))) == 0
+        def select(z, centroids=centroids, chosen=chosen):
+            return int(np.argmin(np.abs(centroids - z))) == chosen
 
         try:
             proj = {v: linalg.spectral_projection(t.mats[v], select) for v in r.quiver.vertices}

@@ -250,6 +250,17 @@ def test_idempotent_found_on_disguised_direct_sum(rng):
         assert np.linalg.norm(m @ m - m) <= 1e-8
 
 
+def test_one_draw_splits_a_sum_of_jordan_blocks(monkeypatch):
+    # J_2(l1) + J_3(l2): rounding splits l2 into clusters a few 1e-6 apart, and the
+    # projection onto one such fragment fails; the cluster at l1 lies far from the rest
+    monkeypatch.setattr(hom_module, "IDEM_TRIALS", 1)
+    s = np.zeros((5, 5), dtype=complex)
+    s[:2, :2], s[2:, 2:] = qr.jordan_block(2, 0.3 + 0.2j), qr.jordan_block(3, 1.5 - 0.4j)
+    eb = qr.end_basis(qr.build_extended_dynkin("d4tilde", s))
+    assert eb.dim == 5
+    assert all(qr.find_nontrivial_idempotent(eb, seed=seed) is not None for seed in range(10))
+
+
 def test_no_idempotent_on_jordan_loop():
     q = qr.jordan_quiver()
     v = q.vertices[0]

@@ -110,7 +110,7 @@ def _text_lines(d: dict, lines: list[str], prefix: str):
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2)
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     lines: list[str] = []
     _text_lines(report, lines, "")
     return "\n".join(lines)
@@ -131,6 +131,8 @@ def _base_report(args, echo: str) -> dict:
 def _cmd_analyze(args, echo):
     r = textio.parse_rep(_read(args.file))
     verdict = hom.is_indecomposable(r, seed=args.seed)
+    if not np.isfinite(verdict.max_residual):
+        raise OverflowError("the End basis's intertwining residual is not finite")
     report = _base_report(args, echo)
     report.update(
         quiver=r.quiver.name,
@@ -338,6 +340,7 @@ def run(argv=None) -> int:
     echo = " ".join(argv)
     try:
         report, code = _COMMANDS[args.command](args, echo)
+        text = render_report(report, args.fmt)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -355,7 +358,7 @@ def run(argv=None) -> int:
         return 3
     finally:
         TOL.reset(token)
-    print(render_report(report, args.fmt))
+    print(text)
     return code
 
 

@@ -271,7 +271,7 @@ def is_transitive(r: Rep) -> TransitivityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# idempotent search
+# indecomposability: the trace form of End and the idempotent search
 
 
 def _random_element(hb: HomBasis, rng: np.random.Generator) -> Hom:
@@ -280,45 +280,62 @@ def _random_element(hb: HomBasis, rng: np.random.Generator) -> Hom:
     return make_hom(hb.source, hb.target, {v: np.tensordot(c, b, axes=1) for v, b in hb.blocks.items()})
 
 
-def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
-    """Search End for an idempotent other than 0 and 1.
+def _radical_complement(eb: HomBasis) -> np.ndarray:
+    """Orthonormal coefficient columns spanning the complement of the radical of End.
 
-    Draws random elements T of the algebra, clusters the joint spectrum of the
-    vertex blocks, and takes the spectral projection of each block onto the
-    cluster farthest from the others.  The projection is a polynomial in T,
-    hence lands in End exactly; residual checks guard the numerics.  Of e and
-    1 - e it returns the one whose rank vector (round(tr e_v) in quiver vertex
-    order) is smaller lexicographically, e on a tie.  Returns None when every trial fails (in
-    particular when dim End <= 1).
+    In characteristic 0 the radical of an algebra of matrices is the kernel of
+    its trace form G_ij = sum_v tr(B_i B_j) (Dickson's criterion; Ronyai,
+    J. Symb. Comput. 9, 1990), so the number of columns, rank G, is the
+    dimension of the semisimple quotient End / rad End.
+    """
+    g = sum((np.einsum("iab,jba->ij", b, b) for b in eb.blocks.values()), np.zeros((eb.dim, eb.dim)))
+    _, s, vh = np.linalg.svd(g)
+    return vh[: int(np.sum(s > linalg.svd_cutoff(s, g.shape)))].conj().T
+
+
+def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
+    """An idempotent of End other than 0 and 1, or None.
+
+    None without a draw when the trace form has rank <= 1: End is then local
+    and has no such idempotent.  Otherwise each of up to IDEM_TRIALS random
+    elements T = sum_j c_j B_j is read on the semisimple quotient: its left
+    multiplication, compressed to the complement of the radical, has well
+    conditioned eigenvalues, those of T with rounding-split Jordan blocks
+    merged.  Their cluster farthest from the others (the first on a tie) picks,
+    at each vertex, the eigenvalues of T_v nearest to it, and the spectral
+    projection onto those is a polynomial in T, hence lands in End exactly;
+    residual checks guard the numerics.  Of e and 1 - e it returns the one
+    whose rank vector (round(tr e_v) in quiver vertex order) is smaller
+    lexicographically, e on a tie.  None after IDEM_TRIALS failed draws.
     """
     if eb.source is not eb.target and eb.source.dims != eb.target.dims:
         raise ValueError("idempotent search needs an endomorphism basis")
-    if eb.dim <= 1:
+    q = _radical_complement(eb)
+    if q.shape[1] <= 1:
         return None
     rng = np.random.default_rng(seed)
     r = eb.source
 
     for _ in range(IDEM_TRIALS):
-        t = _random_element(eb, rng)
+        t = _random_element(eb, rng).mats
+        # T B_j = sum_l left[l, j] B_l, with left[l, j] = sum_v tr(B_l^* T_v B_j)
+        left = sum(b.reshape(eb.dim, -1).conj() @ (t[v] @ b).reshape(eb.dim, -1).T for v, b in eb.blocks.items())
         try:
-            all_eigs = np.concatenate([np.linalg.eigvals(t.mats[v]) for v in r.quiver.vertices])
+            eigs = np.linalg.eigvals(q.conj().T @ left @ q)
         except np.linalg.LinAlgError:
             continue
-        clusters = linalg.cluster_eigenvalues(all_eigs)
+        clusters = linalg.cluster_eigenvalues(eigs)
         if len(clusters) < 2:
             continue
-        centroids = np.array([np.mean(all_eigs[idx]) for idx in clusters])
-        # project onto the cluster farthest from the others (the first on a tie): rounding
-        # splits an eigenvalue of a Jordan block into clusters that lie close together, and
-        # the projection onto one such fragment fails the checks below
-        separation = [np.abs(all_eigs[idx][:, None] - np.delete(all_eigs, idx)).min() for idx in clusters]
+        centroids = np.array([np.mean(eigs[idx]) for idx in clusters])
+        separation = [np.abs(np.delete(centroids, k) - z).min() for k, z in enumerate(centroids)]
         chosen = int(np.argmax(separation))
 
         def select(z, centroids=centroids, chosen=chosen):
             return int(np.argmin(np.abs(centroids - z))) == chosen
 
         try:
-            proj = {v: linalg.spectral_projection(t.mats[v], select) for v in r.quiver.vertices}
+            proj = {v: linalg.spectral_projection(t[v], select) for v in r.quiver.vertices}
         except (np.linalg.LinAlgError, ValueError):
             continue
         p = make_hom(r, r, proj)
@@ -340,6 +357,7 @@ class IndecomposabilityVerdict:
     end_dim: int
     witness: Hom | None = None
     max_residual: float = 0.0  # of the End basis the verdict was read from
+    semisimple_dim: int = 0  # rank of End's trace form: dim End / rad End
 
     @property
     def indecomposable(self) -> bool:
@@ -347,19 +365,22 @@ class IndecomposabilityVerdict:
 
 
 def is_indecomposable(r: Rep, seed: int = 0) -> IndecomposabilityVerdict:
-    """Decide indecomposability: End contains no idempotent besides 0 and 1.
+    """Decide indecomposability from the trace form of End.
 
-    dim End = 1 is conclusive; otherwise the verdict rests on the randomized
-    idempotent search.
+    A nonzero r is indecomposable exactly when End is local (Fitting), that is
+    when End / rad End is one-dimensional; the trace form's rank
+    (`semisimple_dim`) is that dimension, so both answers are certificates.
+    A "decomposable" verdict carries the idempotent witness that
+    `find_nontrivial_idempotent` finds, or None when its draws all fail.
     """
     if r.is_zero:
         return IndecomposabilityVerdict("zero", 0)
     eb = end_basis(r)
-    if eb.dim == 1:
-        return IndecomposabilityVerdict("indecomposable", 1, max_residual=eb.max_residual)
+    semisimple = _radical_complement(eb).shape[1]
+    if semisimple <= 1:
+        return IndecomposabilityVerdict("indecomposable", eb.dim, None, eb.max_residual, semisimple)
     witness = find_nontrivial_idempotent(eb, seed=seed)
-    kind = "indecomposable" if witness is None else "decomposable"
-    return IndecomposabilityVerdict(kind, eb.dim, witness, eb.max_residual)
+    return IndecomposabilityVerdict("decomposable", eb.dim, witness, eb.max_residual, semisimple)
 
 
 def find_isomorphism(r1: Rep, r2: Rep, seed: int = 0) -> Hom | None:

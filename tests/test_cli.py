@@ -87,6 +87,15 @@ def test_analyze_decomposable_emits_witness(rep_file, capsys):
     assert report["idempotent_witness"].startswith("hom 1 = [[")
 
 
+def test_analyze_without_a_witness_is_still_decomposable(rep_file, capsys, monkeypatch):
+    # rank 2 of End's trace form is the certificate; the witness is evidence on top
+    monkeypatch.setattr(hom, "IDEM_TRIALS", 0)
+    text = KRONECKER_REP.replace("mat b = [[0, 0]; [1, 0]]", "mat b = [[1, 0]; [0, 2]]")
+    code, report = run_json(capsys, ["analyze", rep_file(text)])
+    assert code == 0
+    assert report["verdict"] == "decomposable" and "idempotent_witness" not in report
+
+
 def test_analyze_missing_file(capsys):
     assert cli.run(["analyze", "/nonexistent/path.rep"]) == 2
 
@@ -371,6 +380,29 @@ def test_analyze_near_the_top_of_the_double_range_answers_as_at_scale_one(rep_fi
         code, report = run_json(capsys, ["analyze", rep_file(scaled)])
         assert code == 0
         assert report["end_dim"] == 1 and report["verdict"] == "indecomposable"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analyze_with_a_non_finite_residual_is_a_precondition_failure(rep_file, capsys, fmt):
+    # End is solved, but its intertwining residual overflows to inf
+    rng = np.random.default_rng(1)
+    a, b = (10.0 ** rng.uniform(279, 306, (3, 2)) for _ in range(2))
+    text = ("quiver S\nvertex 1\nvertex 2\nvertex 3\narrow a: 1 -> 3\narrow b: 2 -> 3\n"
+            f"dim 1 = 2\ndim 2 = 2\ndim 3 = 3\nmat a = {format_matrix(a)}\nmat b = {format_matrix(b)}\n")
+    assert cli.run(["analyze", rep_file(text), "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_non_finite_report_value_is_a_precondition_failure(monkeypatch, capsys, fmt, value):
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda args, echo: ({"value": value}, 0))
+    assert cli.run(["verify", "--suite", "cyclic", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_run_restores_the_global_tolerance(rep_file, capsys):

@@ -7,7 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import quivrep
+from quivrep.opmodels import jordan_block
+from quivrep.textio import format_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +50,17 @@ def test_import_does_not_load_scipy():
     code = "import quivrep, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_analyze_of_a_local_end_does_not_load_scipy(tmp_path):
+    # End of (I, J_4(l)) is local: the trace form decides it without a spectral projection
+    path = tmp_path / "kronecker.rep"
+    path.write_text("quiver K2\nvertex 1\nvertex 2\narrow a: 1 -> 2\narrow b: 1 -> 2\ndim 1 = 4\ndim 2 = 4\n"
+                    f"mat a = {format_matrix(np.eye(4))}\nmat b = {format_matrix(jordan_block(4, 0.5 + 0.25j))}\n")
+    code = ("import runpy, sys\n"
+            "try:\n    runpy.run_module('quivrep', run_name='__main__')\n"
+            "except SystemExit as e:\n    print(e.code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, "analyze", str(path)], capture_output=True, text=True,
+                         check=True)
+    assert "verdict: indecomposable" in out.stdout
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -13,7 +13,7 @@ import pytest
 
 import quivrep as qr
 from quivrep import hom as hom_module
-from quivrep import rep
+from quivrep import linalg, rep
 from conftest import random_rep
 
 # ---------------------------------------------------------------- oracle
@@ -250,15 +250,66 @@ def test_idempotent_found_on_disguised_direct_sum(rng):
         assert np.linalg.norm(m @ m - m) <= 1e-8
 
 
+def _jordan_sum(sizes, eigenvalues):
+    s = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    at = 0
+    for k, lam in zip(sizes, eigenvalues):
+        s[at : at + k, at : at + k] = qr.jordan_block(k, lam)
+        at += k
+    return s
+
+
+L1, L2 = 0.3 + 0.2j, 1.5 - 0.4j
+
+
 def test_one_draw_splits_a_sum_of_jordan_blocks(monkeypatch):
-    # J_2(l1) + J_3(l2): rounding splits l2 into clusters a few 1e-6 apart, and the
-    # projection onto one such fragment fails; the cluster at l1 lies far from the rest
+    # rounding splits each eigenvalue of a Jordan block into points a few 1e-6
+    # apart; the quotient's eigenvalues are well conditioned and keep them together
     monkeypatch.setattr(hom_module, "IDEM_TRIALS", 1)
-    s = np.zeros((5, 5), dtype=complex)
-    s[:2, :2], s[2:, 2:] = qr.jordan_block(2, 0.3 + 0.2j), qr.jordan_block(3, 1.5 - 0.4j)
-    eb = qr.end_basis(qr.build_extended_dynkin("d4tilde", s))
-    assert eb.dim == 5
-    assert all(qr.find_nontrivial_idempotent(eb, seed=seed) is not None for seed in range(10))
+    for sizes in ((2, 3), (3, 3)):
+        eb = qr.end_basis(qr.build_extended_dynkin("d4tilde", _jordan_sum(sizes, (L1, L2))))
+        assert eb.dim == sum(sizes)
+        assert all(qr.find_nontrivial_idempotent(eb, seed=seed) is not None for seed in range(10))
+
+
+@pytest.mark.parametrize("family", ["d4tilde", "d6tilde", "e6tilde"])
+@pytest.mark.parametrize("sizes, eigenvalues, semisimple", [
+    ((3, 3), (L1, L2), 2), ((3, 3), (L1, L1), 4), ((2, 3), (L1, L2), 2), ((4, 4), (0.3, 1.5), 2)])
+def test_trace_form_certifies_a_sum_of_jordan_blocks(monkeypatch, family, sizes, eigenvalues, semisimple):
+    # End / rad End is C + C for distinct eigenvalues and M_2(C) for equal ones
+    r = qr.build_extended_dynkin(family, _jordan_sum(sizes, eigenvalues))
+    eb = qr.end_basis(r)
+    monkeypatch.setattr(hom_module, "end_basis", lambda _: eb)  # one End solve; the draws vary
+    for seed in range(3):
+        verdict = qr.is_indecomposable(r, seed=seed)
+        assert (verdict.kind, verdict.semisimple_dim) == ("decomposable", semisimple)
+        e = verdict.witness
+        assert e is not None
+        sq_defect, id_defect = rep.idempotent_defects(e)
+        assert sq_defect <= 1e-8 and e.residual <= 1e-8
+        assert e.norm() > 1e-8 and id_defect > 1e-8
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_conjugated_jordan_block_stays_indecomposable(rng, k):
+    loop = qr.new_rep(qr.jordan_quiver(), {"1": k}, {"a": qr.jordan_block(k, L1)})
+    for r in (loop, qr.build_extended_dynkin("d4tilde", qr.jordan_block(k, L2))):
+        phi = {v: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for v, d in r.dims.items()}
+        verdict = qr.is_indecomposable(qr.conjugate(r, phi))
+        assert (verdict.kind, verdict.end_dim, verdict.semisimple_dim) == ("indecomposable", k, 1)
+        assert verdict.witness is None
+
+
+def test_a_local_end_needs_no_draw_and_no_spectral_projection(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a local End needs no idempotent search")
+
+    monkeypatch.setattr(linalg, "spectral_projection", refuse)
+    monkeypatch.setattr(hom_module, "_random_element", refuse)
+    r = qr.build_extended_dynkin("d4tilde", qr.jordan_block(4, L1))
+    verdict = qr.is_indecomposable(r, seed=3)
+    assert (verdict.kind, verdict.end_dim, verdict.semisimple_dim) == ("indecomposable", 4, 1)
+    assert qr.find_nontrivial_idempotent(qr.end_basis(r)) is None
 
 
 def test_no_idempotent_on_jordan_loop():

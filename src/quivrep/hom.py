@@ -58,6 +58,20 @@ class HomBasis:
         """Largest intertwining residual of the basis, from one call on the stacks."""
         return hom_residual(self.source, self.target, self.blocks)
 
+    @cached_property
+    def radical_complement(self) -> np.ndarray:
+        """For an End basis: orthonormal coefficient columns spanning the complement of the radical.
+
+        In characteristic 0 the radical of an algebra of matrices is the kernel
+        of its trace form G_ij = sum_v tr(B_i B_j) (Dickson's criterion; Ronyai,
+        J. Symb. Comput. 9, 1990), so the number of columns, rank G, is the
+        dimension of the semisimple quotient End / rad End.  Cached, so the
+        verdict and the idempotent search factor G once.
+        """
+        g = sum((np.einsum("iab,jba->ij", b, b) for b in self.blocks.values()), np.zeros((self.dim, self.dim)))
+        _, s, vh = np.linalg.svd(g)
+        return vh[: int(np.sum(s > linalg.svd_cutoff(s, g.shape)))].conj().T
+
 
 class _Candidate(NamedTuple):
     """Row block `index`, which holds a root once as L T R, with L = u diag(s) vh."""
@@ -280,19 +294,6 @@ def _random_element(hb: HomBasis, rng: np.random.Generator) -> Hom:
     return make_hom(hb.source, hb.target, {v: np.tensordot(c, b, axes=1) for v, b in hb.blocks.items()})
 
 
-def _radical_complement(eb: HomBasis) -> np.ndarray:
-    """Orthonormal coefficient columns spanning the complement of the radical of End.
-
-    In characteristic 0 the radical of an algebra of matrices is the kernel of
-    its trace form G_ij = sum_v tr(B_i B_j) (Dickson's criterion; Ronyai,
-    J. Symb. Comput. 9, 1990), so the number of columns, rank G, is the
-    dimension of the semisimple quotient End / rad End.
-    """
-    g = sum((np.einsum("iab,jba->ij", b, b) for b in eb.blocks.values()), np.zeros((eb.dim, eb.dim)))
-    _, s, vh = np.linalg.svd(g)
-    return vh[: int(np.sum(s > linalg.svd_cutoff(s, g.shape)))].conj().T
-
-
 def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
     """An idempotent of End other than 0 and 1, or None.
 
@@ -301,16 +302,17 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
     elements T = sum_j c_j B_j is read on the semisimple quotient: its left
     multiplication, compressed to the complement of the radical, has well
     conditioned eigenvalues, those of T with rounding-split Jordan blocks
-    merged.  Their cluster farthest from the others (the first on a tie) picks,
-    at each vertex, the eigenvalues of T_v nearest to it, and the spectral
-    projection onto those is a polynomial in T, hence lands in End exactly;
-    residual checks guard the numerics.  Of e and 1 - e it returns the one
-    whose rank vector (round(tr e_v) in quiver vertex order) is smaller
-    lexicographically, e on a tie.  None after IDEM_TRIALS failed draws.
+    merged.  Their cluster farthest from the others (the first on a tie) is
+    chosen, and at each vertex `linalg.spectral_projection` projects T_v onto
+    its eigenvalues nearest that centroid: a sign-function projection, one
+    holomorphic function of T at every vertex, hence in End; residual checks
+    guard the numerics.  Of e and 1 - e it returns the one whose rank vector
+    (round(tr e_v) in quiver vertex order) is smaller lexicographically, e on
+    a tie.  None after IDEM_TRIALS failed draws.
     """
     if eb.source is not eb.target and eb.source.dims != eb.target.dims:
         raise ValueError("idempotent search needs an endomorphism basis")
-    q = _radical_complement(eb)
+    q = eb.radical_complement
     if q.shape[1] <= 1:
         return None
     rng = np.random.default_rng(seed)
@@ -330,12 +332,8 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
         centroids = np.array([np.mean(eigs[idx]) for idx in clusters])
         separation = [np.abs(np.delete(centroids, k) - z).min() for k, z in enumerate(centroids)]
         chosen = int(np.argmax(separation))
-
-        def select(z, centroids=centroids, chosen=chosen):
-            return int(np.argmin(np.abs(centroids - z))) == chosen
-
         try:
-            proj = {v: linalg.spectral_projection(t[v], select) for v in r.quiver.vertices}
+            proj = {v: linalg.spectral_projection(t[v], centroids, chosen) for v in r.quiver.vertices}
         except (np.linalg.LinAlgError, ValueError):
             continue
         p = make_hom(r, r, proj)
@@ -376,7 +374,7 @@ def is_indecomposable(r: Rep, seed: int = 0) -> IndecomposabilityVerdict:
     if r.is_zero:
         return IndecomposabilityVerdict("zero", 0)
     eb = end_basis(r)
-    semisimple = _radical_complement(eb).shape[1]
+    semisimple = eb.radical_complement.shape[1]
     if semisimple <= 1:
         return IndecomposabilityVerdict("indecomposable", eb.dim, None, eb.max_residual, semisimple)
     witness = find_nontrivial_idempotent(eb, seed=seed)

@@ -176,28 +176,37 @@ def cluster_eigenvalues(eigs) -> list[list[int]]:
     return sorted(groups, key=sort_key)
 
 
-def spectral_projection(a, select) -> np.ndarray:
-    """Spectral projection of `a` onto the eigenvalues picked by `select(z) -> bool`.
+def spectral_projection(a, centroids, chosen: int) -> np.ndarray:
+    """Spectral projection of `a` onto its eigenvalues near `centroids[chosen]`.
 
-    Computed from the sorted complex Schur form: with the selected block leading,
-    T = [[T11, T12], [0, T22]], the projection is Q [[I, Y], [0, 0]] Q* where
-    T11 Y - Y T22 = T12.  `select` must separate the spectrum cleanly.
+    Every eigenvalue of `a` should lie near one of the centroids.  The
+    Lagrange polynomial L of the centroids, 1 at the chosen one and 0 at the
+    others, maps those eigenvalues near 1 and the rest near 0, so they lie on
+    either side of the imaginary axis for S = 2 L(a) - I.  Newton's iteration
+    S <- (S + S^-1) / 2 converges quadratically to sign(S) (Roberts, Int. J.
+    Control 32, 1980; Higham, Functions of Matrices, 2008, ch. 5), and the
+    projection is (I + sign(S)) / 2.  It is one holomorphic function of `a`,
+    so applied to every block of an algebra element it stays in the algebra.
+    The error after a step is at most about ||S_k+1 - S_k||^2 ||S_k^-1||, so
+    the iteration stops once that is below n eps ||S_k+1||.  It raises
+    LinAlgError on a singular iterate and ValueError when 100 steps do not get
+    there: then an eigenvalue of `a` sits on or near the boundary.
     """
-    import scipy.linalg  # imported here: it is the package's only scipy use and slow to load
-
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    t, q, k = scipy.linalg.schur(a, output="complex", sort=select)
-    k = int(k)
-    if k == 0:
-        return np.zeros((n, n), dtype=complex)
-    if k == n:
-        return np.eye(n, dtype=complex)
-    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-    y = scipy.linalg.solve_sylvester(t11, -t22, t12)
-    p = np.zeros((n, n), dtype=complex)
-    p[:k, :k] = np.eye(k)
-    p[:k, k:] = y
-    return q @ p @ q.conj().T
+    eye = np.eye(n, dtype=complex)
+    c = np.asarray(centroids, dtype=complex)
+    lagrange = eye
+    for z in np.delete(c, chosen):
+        lagrange = lagrange @ (a - z * eye) / (c[chosen] - z)
+    s = 2 * lagrange - eye
+    for _ in range(100):
+        inv = np.linalg.inv(s)
+        nxt = (s + inv) / 2
+        step, size = np.linalg.norm(nxt - s), np.linalg.norm(nxt)
+        if not np.isfinite(step):
+            break
+        if step * step * np.linalg.norm(inv) <= n * np.finfo(float).eps * size:
+            return (eye + nxt) / 2
+        s = nxt
+    raise ValueError("the sign iteration did not converge: an eigenvalue is near the boundary")

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import quivrep
 from quivrep.opmodels import jordan_block
@@ -52,15 +53,24 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_analyze_of_a_local_end_does_not_load_scipy(tmp_path):
+def _local_end_rep(tmp_path) -> str:
     # End of (I, J_4(l)) is local: the trace form decides it without a spectral projection
     path = tmp_path / "kronecker.rep"
     path.write_text("quiver K2\nvertex 1\nvertex 2\narrow a: 1 -> 2\narrow b: 1 -> 2\ndim 1 = 4\ndim 2 = 4\n"
                     f"mat a = {format_matrix(np.eye(4))}\nmat b = {format_matrix(jordan_block(4, 0.5 + 0.25j))}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("rep_path, verdict", [
+    (_local_end_rep, "indecomposable"),
+    # a decomposable End: the witness comes from the numpy-only sign-function projection
+    (lambda _: str(ROOT / "tests" / "golden" / "inputs" / "kron-split.txt"), "decomposable"),
+], ids=["local-end", "kron-split"])
+def test_analyze_does_not_load_scipy(tmp_path, rep_path, verdict):
     code = ("import runpy, sys\n"
             "try:\n    runpy.run_module('quivrep', run_name='__main__')\n"
             "except SystemExit as e:\n    print(e.code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, "analyze", str(path)], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, "analyze", rep_path(tmp_path)], capture_output=True, text=True,
                          check=True)
-    assert "verdict: indecomposable" in out.stdout
+    assert f"verdict: {verdict}" in out.stdout
     assert out.stdout.splitlines()[-1] == "0 []"

@@ -1,10 +1,11 @@
-"""Dense helpers: eigenvalue clustering, orthogonal complements, rank and nullspaces."""
+"""Dense helpers: eigenvalue clustering, spectral projections, orthogonal complements, rank and nullspaces."""
 
 import numpy as np
 import pytest
 
 from quivrep import linalg
 from quivrep.config import CLUSTER_GAP
+from quivrep.opmodels import jordan_block
 
 
 def _brute_force_clusters(eigs):
@@ -33,6 +34,44 @@ def test_cluster_eigenvalues_edge_cases():
     assert linalg.cluster_eigenvalues([]) == []
     assert linalg.cluster_eigenvalues([0.0, 0.0, 0.0]) == [[0, 1, 2]]
     assert linalg.cluster_eigenvalues([2.0, 1.0]) == [[1], [0]]
+
+
+def test_spectral_projection_matches_the_jordan_form():
+    # a = V blockdiag(J_3(l1), J_3(l2), J_2(l3)) V^-1: the projection onto l_k is V E_k V^-1
+    eigs = np.array([0.3 + 0.2j, 1.5 - 0.4j, -0.7 + 0.9j])
+    sizes = (3, 3, 2)
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    jordan = np.zeros((8, 8), dtype=complex)
+    starts = np.cumsum((0,) + sizes)
+    for lam, k, at in zip(eigs, sizes, starts):
+        jordan[at : at + k, at : at + k] = jordan_block(k, lam)
+    v_inv = np.linalg.inv(v)
+    a = v @ jordan @ v_inv
+    for chosen, (k, at) in enumerate(zip(sizes, starts)):
+        block = np.zeros(8)
+        block[at : at + k] = 1.0
+        exact = v @ np.diag(block) @ v_inv
+        p = linalg.spectral_projection(a, eigs, chosen)
+        scale = np.linalg.norm(exact)
+        assert np.linalg.norm(p - exact) <= 1e-8 * scale
+        assert np.linalg.norm(p @ p - p) <= 1e-8 * scale
+        assert np.linalg.norm(p @ a - a @ p) <= 1e-8 * scale * np.linalg.norm(a)
+
+
+def test_spectral_projection_edge_cases():
+    assert linalg.spectral_projection(np.zeros((0, 0)), [1.0, 2.0], 0).shape == (0, 0)
+    a = np.array([[1.0, 5.0], [0.0, 2.0]])
+    assert np.allclose(linalg.spectral_projection(a, [1.0, 2.0, 3.0], 2), 0, atol=1e-14)
+    assert np.allclose(linalg.spectral_projection(a, [1.5], 0), np.eye(2), atol=1e-14)
+
+
+@pytest.mark.parametrize("boundary", [0.5, 0.5 + 0.3j])
+def test_spectral_projection_on_the_boundary_raises(boundary):
+    # L(z) = z for centroids (0, 1): Re L = 1/2 is the imaginary axis of S = 2 L - I
+    a = np.diag([0.0, boundary, 1.0])
+    with pytest.raises((ValueError, np.linalg.LinAlgError)):
+        linalg.spectral_projection(a, [0.0, 1.0], 1)
 
 
 def test_orth_complement():

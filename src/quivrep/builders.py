@@ -64,8 +64,6 @@ def _block_injection(m: int, k: int, cols: list[dict[int, np.ndarray]]) -> np.nd
     for g, spec in enumerate(cols):
         for row, blk in spec.items():
             j[row * k : (row + 1) * k, g * k : (g + 1) * k] = blk
-    if j.shape[1] == 0:
-        return j
     return linalg.qr_orthonormalize(j)
 
 

@@ -237,8 +237,6 @@ def _cmd_opmodel(args, echo):
     try:
         lam = opmodels.parse_sequence(args.lam)
         w = opmodels.parse_sequence(args.w)
-    except PreconditionError:
-        raise
     except ValueError as e:
         raise ParseError(str(e)) from None
     if args.n < 1:

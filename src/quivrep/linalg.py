@@ -88,17 +88,6 @@ def orth(a) -> np.ndarray:
     return phase_normalize(u[:, :rank])
 
 
-def orth_complement(j) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column space of `j`.
-
-    Factored on `real_if_exact(j)`, so a real `j` gets a real complement.
-    """
-    j = np.asarray(j, dtype=complex)
-    u, s, _ = np.linalg.svd(real_if_exact(j))
-    rank = int(np.sum(s > svd_cutoff(s, j.shape)))
-    return phase_normalize(u[:, rank:])
-
-
 def qr_orthonormalize(a) -> np.ndarray:
     """Orthonormalize the columns of a full-column-rank matrix (plain QR, no pivoting)."""
     a = np.asarray(a, dtype=complex)

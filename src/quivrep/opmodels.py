@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import PreconditionError
 from .hom import end_basis, is_indecomposable
 from .quiver import jordan_quiver, kronecker_quiver, new_quiver
 from .rep import Rep, new_rep
-from .textio import fmt_complex
 
 # ---------------------------------------------------------------------------
 # weight sequences
@@ -66,29 +65,29 @@ class SequenceSpec:
         want = 0 if self.parity == "even" else 1
         return n >= 1 and n % 2 == want
 
+    def _at(self, n: int) -> "SequenceSpec":
+        """The spec whose own rule gives entry n: past a list's prefix, its tail."""
+        if self.family in ("reciprocal", "one-minus-pow") and n < 1:
+            raise ValueError(f"{self.family} is defined for n >= 1, got n = {n}")
+        if self.family != "list" or 1 <= n <= len(self.values):
+            return self
+        if self.tail is None:
+            raise ValueError(f"explicit list of length {len(self.values)} has no entry at n = {n} and no tail")
+        return self.tail._at(n)
+
     def value(self, n: int) -> complex:
-        if self.family == "reciprocal":
-            if n < 1:
-                raise ValueError(f"reciprocal is defined for n >= 1, got n = {n}")
+        s = self._at(n)
+        if s.family == "reciprocal":
             return 1.0 / n
-        if self.family == "one-minus-pow":
-            if n < 1:
-                raise ValueError(f"one-minus-pow is defined for n >= 1, got n = {n}")
-            return 1.0 - self.base ** (-n)
-        if self.family == "exp-neg-pow":
-            return math.exp(-(self.lam**n)) if self._masked(n) else 1.0
-        if self.family == "hrr":
-            if n <= 0:
-                return 1.0
-            return math.exp(self.log_abs(n))
-        if self.family == "const":
-            return self.const
-        # list
-        if 1 <= n <= len(self.values):
-            return complex(self.values[n - 1])
-        if self.tail is not None:
-            return self.tail.value(n)
-        raise ValueError(f"explicit list of length {len(self.values)} has no entry at n = {n} and no tail")
+        if s.family == "one-minus-pow":
+            return 1.0 - s.base ** (-n)
+        if s.family == "exp-neg-pow":
+            return math.exp(-(s.lam**n)) if s._masked(n) else 1.0
+        if s.family == "hrr":
+            return math.exp(s.log_abs(n))
+        if s.family == "const":
+            return s.const
+        return complex(s.values[n - 1])
 
     def log_abs(self, n: int) -> float:
         """log |value(n)|; -inf marks a zero.  Never overflows.
@@ -96,22 +95,19 @@ class SequenceSpec:
         Where the log itself leaves the double range it saturates: hrr to
         +-inf once n! does, exp-neg-pow to -inf once lam**n does.
         """
-        if self.family == "reciprocal":
-            if n < 1:
-                raise ValueError(f"reciprocal is defined for n >= 1, got n = {n}")
+        s = self._at(n)
+        if s.family == "reciprocal":
             return -math.log(n)
-        if self.family == "one-minus-pow":
-            if n < 1:
-                raise ValueError(f"one-minus-pow is defined for n >= 1, got n = {n}")
-            return math.log1p(-(self.base ** (-n)))
-        if self.family == "exp-neg-pow":
-            if not self._masked(n):
+        if s.family == "one-minus-pow":
+            return math.log1p(-(s.base ** (-n)))
+        if s.family == "exp-neg-pow":
+            if not s._masked(n):
                 return 0.0
             try:
-                return -(float(self.lam) ** n)
+                return -(float(s.lam) ** n)
             except OverflowError:
                 return -math.inf
-        if self.family == "hrr":
+        if s.family == "hrr":
             if n <= 0:
                 return 0.0
             try:
@@ -119,15 +115,8 @@ class SequenceSpec:
             except OverflowError:
                 f = math.inf
             return f if n % 2 == 0 else -f
-        if self.family == "const":
-            a = abs(self.const)
-            return math.log(a) if a > 0 else -math.inf
-        if 1 <= n <= len(self.values):
-            a = abs(complex(self.values[n - 1]))
-            return math.log(a) if a > 0 else -math.inf
-        if self.tail is not None:
-            return self.tail.log_abs(n)
-        raise ValueError(f"explicit list of length {len(self.values)} has no entry at n = {n} and no tail")
+        a = abs(s.value(n))  # const or list entry
+        return math.log(a) if a > 0 else -math.inf
 
     # -- structural queries used by the density analysis
 
@@ -139,24 +128,6 @@ class SequenceSpec:
                 return True
             return self.tail.has_zero() if self.tail is not None else False
         return False
-
-    def literal(self) -> str:
-        """The CLI literal that parses back to this spec."""
-        if self.family == "reciprocal":
-            return "seq:reciprocal"
-        if self.family == "one-minus-pow":
-            return f"seq:one-minus-pow:{fmt_complex(self.base)}"
-        if self.family == "exp-neg-pow":
-            return f"seq:exp-neg-pow:{fmt_complex(self.lam)}:{self.parity}"
-        if self.family == "hrr":
-            return "seq:hrr"
-        if self.family == "const":
-            return f"seq:const:{fmt_complex(self.const)}"
-        body = ",".join(fmt_complex(v) for v in self.values)
-        lit = f"seq:list:[{body}]"
-        if self.tail is not None:
-            lit += ":" + self.tail.literal()[len("seq:") :]
-        return lit
 
 
 def parse_sequence(literal) -> SequenceSpec:
@@ -264,7 +235,6 @@ class OperatorPair:
     a: np.ndarray
     b: np.ndarray
     tag: str = ""
-    params: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -291,9 +261,7 @@ def kron_pair_shift_rank_one(lam, w, n: int) -> OperatorPair:
         raise PreconditionError("every w_n must be nonzero; a zero row weight breaks the construction")
     a = unilateral_shift(n) @ np.diag(lam_vals) + np.outer(np.eye(n, dtype=complex)[0], w_vals)
     b = unilateral_shift(n)
-    return OperatorPair(
-        a, b, tag="shift-rank-one", params={"n": n, "lam": lam.literal(), "w": w.literal()}
-    )
+    return OperatorPair(a, b, tag="shift-rank-one")
 
 
 def kron_pair_bilateral(a_seq, b_seq, m: int) -> OperatorPair:
@@ -322,12 +290,7 @@ def kron_pair_bilateral(a_seq, b_seq, m: int) -> OperatorPair:
     b = np.zeros((size, size), dtype=complex)
     for i in range(size - 1):
         b[i + 1, i] = b_vals[i]
-    return OperatorPair(
-        a,
-        b,
-        tag="bilateral",
-        params={"m": m, "a": a_seq.literal(), "b": b_seq.literal()},
-    )
+    return OperatorPair(a, b, tag="bilateral")
 
 
 def log_mk(a_seq, b_seq, m: int, n: int, k: int) -> float:
@@ -458,7 +421,6 @@ class SubspaceSystem:
     ambient: int
     injections: list[np.ndarray]
     labels: tuple[str, ...]
-    tag: str = ""
 
     def __post_init__(self):
         if len(self.labels) != len(self.injections):
@@ -475,19 +437,19 @@ class SubspaceSystem:
         return tuple(j.shape[1] for j in self.injections)
 
 
-def _four_subspaces(n: int, e3: np.ndarray, tag: str) -> SubspaceSystem:
+def _four_subspaces(n: int, e3: np.ndarray) -> SubspaceSystem:
     """E1 = H+0, E2 = 0+H, the given E3 and E4 = diagonal, in C^{2n}."""
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
     e1 = np.vstack([eye, zero])
     e2 = np.vstack([zero, eye])
     e4 = np.vstack([eye, eye]) / np.sqrt(2.0)
-    return SubspaceSystem(2 * n, [e1, e2, e3, e4], ("E1", "E2", "E3", "E4"), tag=tag)
+    return SubspaceSystem(2 * n, [e1, e2, e3, e4], ("E1", "E2", "E3", "E4"))
 
 
 def four_subspace_from_pair(p: OperatorPair) -> SubspaceSystem:
     """The four-subspace system of a pair, with E3 the column space of [A; B]."""
-    return _four_subspaces(p.n, linalg.orth(np.vstack([p.a, p.b])), f"four({p.tag})")
+    return _four_subspaces(p.n, linalg.orth(np.vstack([p.a, p.b])))
 
 
 @dataclass
@@ -656,10 +618,9 @@ def hrr_system(n: int) -> SubspaceSystem:
     if n < 2:
         raise ValueError(f"need a window of at least 2 points, got {n}")
     lo = -((n - 1) // 2)
-    idx = [lo + i for i in range(n)]
     e3 = np.zeros((2 * n, n), dtype=complex)
     for i in range(n - 1):
-        logw = hrr_log_weight(idx[i])
+        logw = hrr_log_weight(lo + i)
         if logw <= 0:
             t = math.exp(logw)
             c = 1.0 / math.sqrt(1.0 + t * t)
@@ -671,4 +632,4 @@ def hrr_system(n: int) -> SubspaceSystem:
         e3[i, i] = c
         e3[n + i + 1, i] = s
     e3[n - 1, n - 1] = 1.0  # top window vector: the shift image leaves the window
-    return _four_subspaces(n, e3, f"hrr(window {idx[0]}..{idx[-1]})")
+    return _four_subspaces(n, e3)

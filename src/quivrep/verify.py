@@ -218,7 +218,7 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
     for k in range(2, 6):
         j = opmodels.jordan_block(k)
         cdim = len(opmodels.commutant_basis(j))
-        graph_pair = opmodels.OperatorPair(np.eye(k, dtype=complex), j, tag="graph", params={})
+        graph_pair = opmodels.OperatorPair(np.eye(k, dtype=complex), j, tag="graph")
         system = opmodels.four_subspace_from_pair(graph_pair)
         sysb = opmodels.subspace_system_end(system)
         ok = ok and cdim == k and sysb.dim == k
@@ -227,7 +227,7 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
                         " ".join(dims_sys)))
 
     a = np.diag([1.0, 0.0]).astype(complex)
-    report = opmodels.phi_map(opmodels.OperatorPair(a, a, tag="diag(1,0)", params={}))
+    report = opmodels.phi_map(opmodels.OperatorPair(a, a, tag="diag(1,0)"))
     ok = report.ker_dim == 2 and report.ker_dim == report.expected_ker_dim and report.surjective
     checks.append(Check("pair map kernel matches the engineered example", ok,
                         f"ker_dim={report.ker_dim} surjective={str(report.surjective).lower()}"))
@@ -238,7 +238,7 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
         n = int(rng.integers(2, 4))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        report = opmodels.phi_map(opmodels.OperatorPair(a, b, tag="random", params={}))
+        report = opmodels.phi_map(opmodels.OperatorPair(a, b, tag="random"))
         inj += report.injective
         ok = ok and report.injective and report.surjective
     checks.append(Check("pair map injective when the kernels meet trivially", ok,

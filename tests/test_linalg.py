@@ -74,20 +74,6 @@ def test_spectral_projection_on_the_boundary_raises(boundary):
         linalg.spectral_projection(a, [0.0, 1.0], 1)
 
 
-def test_orth_complement():
-    rng = np.random.default_rng(1)
-    j = np.linalg.qr(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))[0]
-    k = linalg.orth_complement(j)
-    assert k.shape == (5, 3)
-    assert np.linalg.norm(k.conj().T @ k - np.eye(3)) < 1e-12
-    assert np.linalg.norm(k.conj().T @ j) < 1e-12
-    # real input, real complement; trivial subspaces
-    kr = linalg.orth_complement(np.eye(4, 1))
-    assert not kr.imag.any() and kr.shape == (4, 3)
-    assert linalg.orth_complement(np.zeros((3, 0))).shape == (3, 3)
-    assert linalg.orth_complement(np.eye(3)).shape == (3, 0)
-
-
 def test_empty_matrices_factor_like_any_other():
     assert np.array_equal(linalg.nullspace(np.zeros((0, 3))), np.eye(3))
     assert linalg.nullspace(np.zeros((3, 0))).shape == (0, 0)

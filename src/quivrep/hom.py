@@ -30,15 +30,15 @@ class Pivot(NamedTuple):
     arrows: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomBasis:
     """Orthonormal basis of an intertwiner space (orthonormal once flattened).
 
-    `blocks` maps each vertex v to one (dim, target dim v, source dim v) array
-    stacking the basis elements' blocks at v; the Homs in `basis` hold views
-    into it.  The elimination plan is `pivots`, in the order they were taken,
-    and `system_shape`, the system actually factored (its columns are the
-    unknowns left); `tol_used` is that factorization's cutoff.
+    `blocks` maps each vertex v to one read-only (dim, target dim v, source
+    dim v) array stacking the basis elements' blocks at v; the Homs in `basis`
+    hold views into it.  The elimination plan is `pivots`, in the order they
+    were taken, and `system_shape`, the system actually factored (its columns
+    are the unknowns left); `tol_used` is that factorization's cutoff.
     """
 
     source: Rep
@@ -263,12 +263,26 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
         vectors = linalg.phase_normalize(np.linalg.qr(lifted.T)[0])
 
     blocks = {v: vectors[offsets[v] : offsets[v] + sizes[v]].T.reshape(m, d2[v], d1[v]) for v in q.vertices}
+    for b in blocks.values():  # on each stack: a reshape of the transposed slice may be a copy
+        b.flags.writeable = False
     basis = [make_hom(r1, r2, {v: b[j] for v, b in blocks.items()}) for j in range(m)]
     return HomBasis(r1, r2, basis, blocks, tol_used, system.shape, tuple(pivots))
 
 
 def end_basis(r: Rep) -> HomBasis:
-    return hom_basis(r, r)
+    """Orthonormal basis of End(r), solved once per Rep object.
+
+    `hom_basis` reads only the fixed PIVOT_TOL and SVD_FACTOR, not the scoped
+    config.TOL, and r's matrices are read-only, so End depends on r alone.
+    The first call keeps the basis on r; later calls (`is_transitive`,
+    `is_indecomposable`, `reflection.verify_end_isomorphism`, ...) return that
+    same object, with its cached `max_residual` and `radical_complement`.
+    r and the basis refer to each other, so the garbage collector frees them
+    together.
+    """
+    if r._end is None:
+        object.__setattr__(r, "_end", hom_basis(r, r))
+    return r._end
 
 
 class TransitivityVerdict(NamedTuple):

@@ -7,9 +7,9 @@ first-class: their matrices are empty and all operations treat them uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -18,12 +18,19 @@ from .config import IDEM_TOL
 from .errors import PreconditionError
 from .quiver import Quiver, _label
 
+if TYPE_CHECKING:
+    from .hom import HomBasis
+
 
 @dataclass(frozen=True)
 class Rep:
+    """A representation; build it with `new_rep`, which makes the matrices read-only."""
+
     quiver: Quiver
     dims: dict[str, int]
     mats: dict[str, np.ndarray]
+    # End of this representation, kept by `hom.end_basis` (its only writer)
+    _end: HomBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     def dim(self, v) -> int:
         return self.dims[_label(v)]
@@ -43,6 +50,10 @@ class Rep:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt by new_rep: read-only matrices, End not yet solved
+        return new_rep, (self.quiver, self.dims, self.mats)
+
 
 def new_rep(q: Quiver, dims, mats=None) -> Rep:
     """Validate and build a representation.
@@ -50,6 +61,8 @@ def new_rep(q: Quiver, dims, mats=None) -> Rep:
     `dims` maps vertices to dimensions (missing vertices get 0).  `mats` maps
     arrow names to matrices; an arrow may be omitted only when either endpoint
     has dimension 0 (the matrix is then the empty one).  Entries must be finite.
+    Every matrix is copied and marked read-only, so End, once solved for the
+    representation (`hom.end_basis`), stays valid.
     """
     dims = {_label(v): int(d) for v, d in dict(dims).items()}
     for v in dims:
@@ -82,6 +95,8 @@ def new_rep(q: Quiver, dims, mats=None) -> Rep:
         if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
             raise ValueError(f"arrow {a.name!r}: matrix has non-finite entries")
         out[a.name] = m.copy()
+    for m in out.values():
+        m.flags.writeable = False
     return Rep(q, full_dims, out)
 
 

@@ -5,6 +5,8 @@ row-reduces; no shared code with the SVD route.  Integer inputs make the
 rational answer exact, so the two dimension counts must agree exactly.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -198,9 +200,51 @@ def test_is_indecomposable_computes_one_stacked_residual(monkeypatch):
     verdict = qr.is_indecomposable(r)
     assert verdict.kind == "indecomposable" and verdict.end_dim == 3
     assert len(calls) == 1
+    eb = qr.end_basis(r)  # the basis the verdict was read from, residual included
+    assert eb is qr.end_basis(r) and eb.max_residual == verdict.max_residual and len(calls) == 1
+
+
+def _star_rep(rng):
+    star = qr.new_quiver(["1", "2", "3", "4"], [("a", "1", "4"), ("b", "2", "4"), ("c", "3", "4")])
+    return random_rep(star, {"1": 1, "2": 1, "3": 1, "4": 2}, rng)
+
+
+def test_end_is_solved_once_per_rep(monkeypatch, rng):
+    r = _star_rep(rng)
+    solves = []
+    original = hom_module.hom_basis
+
+    def counting(r1, r2):
+        solves.append((r1, r2))
+        return original(r1, r2)
+
+    def ends_solved(x):
+        return sum(r1 is x and r2 is x for r1, r2 in solves)
+
+    monkeypatch.setattr(hom_module, "hom_basis", counting)
     eb = qr.end_basis(r)
-    first = eb.max_residual
-    assert eb.max_residual == first and len(calls) == 2
+    assert qr.is_transitive(r).end_dim == eb.dim
+    assert qr.is_indecomposable(r).end_dim == eb.dim
+    for v, direction in (("4", "plus"), ("1", "minus")):  # the sink and a source
+        assert qr.verify_end_isomorphism(r, v, direction).end_dim == eb.dim
+    assert qr.end_basis(r) is eb and ends_solved(r) == 1
+
+    # equal content in a second Rep object: its own solve, returning what the first did
+    twin = qr.new_rep(r.quiver, r.dims, r.mats)
+    eb_twin = qr.end_basis(twin)
+    assert eb_twin is not eb and ends_solved(twin) == 1
+    assert all(eb_twin.blocks[v].tobytes() == eb.blocks[v].tobytes() for v in r.quiver.vertices)
+
+
+def test_rep_matrices_and_end_stacks_are_read_only(rng):
+    r = _star_rep(rng)
+    eb = qr.end_basis(r)
+    copies = [copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))]
+    for array in (r.mats["a"], eb.blocks["4"], eb.basis[0].mats["4"], *(c.mats["a"] for c in copies)):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    for c in copies:  # a copy is a new Rep: it solves its own End
+        assert np.array_equal(c.mats["a"], r.mats["a"]) and c._end is None
 
 
 def test_stacked_residual_is_the_largest_per_hom_residual(rng):

@@ -1,5 +1,8 @@
 """Dense helpers: eigenvalue clustering, spectral projections, orthogonal complements, rank and nullspaces."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -93,3 +96,12 @@ def test_cutoff_stays_finite_at_the_top_of_the_double_range():
     # sigma_max itself overflows: an error, not a rank of 0
     with pytest.raises(OverflowError):
         linalg.matrix_rank(np.full((2, 2), 1e308))
+
+
+def test_the_package_has_one_rank_cutoff():
+    # numpy's own matrix_rank cuts at sigma_max * n * 2^-52, linalg.matrix_rank at
+    # svd_cutoff (2^-40): the two disagree on a singular value near 1e-12.
+    src = Path(linalg.__file__).parent
+    pattern = re.compile(r"\b(?:np|numpy)\.linalg\.matrix_rank\b|from\s+numpy\.linalg\s+import[^\n]*\bmatrix_rank\b")
+    offenders = [p.name for p in sorted(src.glob("*.py")) if pattern.search(p.read_text())]
+    assert offenders == []

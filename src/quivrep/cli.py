@@ -265,7 +265,6 @@ def _cmd_opmodel(args, echo):
             "reason": v.reason,
             "heuristic": v.heuristic,
         }
-    basis = None
     if args.four_subspace:
         system = opmodels.four_subspace_from_pair(pair)
         basis = opmodels.subspace_system_end(system)
@@ -279,7 +278,7 @@ def _cmd_opmodel(args, echo):
             "agree": bool(basis.max_residual <= IDEM_TOL),
         }
     if args.phi:
-        pm = opmodels.phi_map(pair, basis)
+        pm = opmodels.phi_map(pair)
         report["phi"] = asdict(pm)
     return report, 0
 

@@ -12,6 +12,13 @@ import numpy as np
 from .config import CLUSTER_GAP, SVD_FACTOR, TOL
 
 
+def read_only(a) -> np.ndarray:
+    """A copy of `a` that raises ValueError on writes, for objects that cache what they derive."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 def phase_normalize(columns: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
     out = np.array(columns, dtype=complex, copy=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -216,7 +217,6 @@ def rank_one(x, y) -> np.ndarray:
 def make_fixture(kind: str, **params) -> np.ndarray:
     builders = {
         "unilateral_shift": lambda: unilateral_shift(int(params["n"])),
-        "bilateral_shift": lambda: unilateral_shift(int(params["n"])),
         "diag": lambda: diag_of(params["seq"], int(params["n"])),
         "jordan": lambda: jordan_block(int(params["n"]), complex(params.get("lam", 0.0))),
         "rank_one": lambda: rank_one(params["x"], params["y"]),
@@ -230,15 +230,31 @@ def make_fixture(kind: str, **params) -> np.ndarray:
 # operator pairs
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorPair:
+    """Two operators on C^n, kept as read-only copies, so what is derived from them is built once."""
+
     a: np.ndarray
     b: np.ndarray
     tag: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "a", linalg.read_only(self.a))
+        object.__setattr__(self, "b", linalg.read_only(self.b))
+
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def system(self) -> SubspaceSystem:
+        """The four-subspace system, with E3 the column space of [A; B]."""
+        return _four_subspaces(self.n, linalg.orth(np.vstack([self.a, self.b])))
+
+    @cached_property
+    def rep(self) -> Rep:
+        """The Kronecker representation a, b : 1 -> 2; its End is the pair's intertwiners (S, T)."""
+        return new_rep(kronecker_quiver(), {"1": self.n, "2": self.n}, {"a": self.a, "b": self.b})
 
 
 def kron_pair_shift_rank_one(lam, w, n: int) -> OperatorPair:
@@ -411,18 +427,20 @@ def density_criterion(lam, w) -> DensityVerdict:
 # subspace systems
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubspaceSystem:
     """Finitely many labelled subspaces of C^ambient, each given by an orthonormal injection.
 
     The operator-pair systems and the extended-Dynkin builders share this type.
+    The injections are kept as read-only copies, so `rep` is built once.
     """
 
     ambient: int
-    injections: list[np.ndarray]
+    injections: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "injections", tuple(linalg.read_only(j) for j in self.injections))
         if len(self.labels) != len(self.injections):
             raise ValueError("one label per subspace")
         for lbl, j in zip(self.labels, self.injections):
@@ -436,30 +454,35 @@ class SubspaceSystem:
     def sub_dims(self) -> tuple[int, ...]:
         return tuple(j.shape[1] for j in self.injections)
 
+    @cached_property
+    def rep(self) -> Rep:
+        """The inclusion-quiver representation: subspace k at vertex k, arrow a_k : k -> n+1 its injection.
+
+        T -> T_{n+1} identifies End of this representation with End of the system.
+        """
+        arms = [str(i) for i in range(1, len(self.injections) + 1)]
+        center = str(len(arms) + 1)
+        q = new_quiver(arms + [center], [(f"a{v}", v, center) for v in arms], name=f"R{len(arms)}")
+        dims = {v: j.shape[1] for v, j in zip(arms, self.injections)} | {center: self.ambient}
+        return new_rep(q, dims, {f"a{v}": j for v, j in zip(arms, self.injections)})
+
 
 def _four_subspaces(n: int, e3: np.ndarray) -> SubspaceSystem:
     """E1 = H+0, E2 = 0+H, the given E3 and E4 = diagonal, in C^{2n}."""
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
-    e1 = np.vstack([eye, zero])
-    e2 = np.vstack([zero, eye])
-    e4 = np.vstack([eye, eye]) / np.sqrt(2.0)
+    eye, zero = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+    e1, e2, e4 = np.vstack([eye, zero]), np.vstack([zero, eye]), np.vstack([eye, eye]) / np.sqrt(2.0)
     return SubspaceSystem(2 * n, [e1, e2, e3, e4], ("E1", "E2", "E3", "E4"))
 
 
 def four_subspace_from_pair(p: OperatorPair) -> SubspaceSystem:
-    """The four-subspace system of a pair, with E3 the column space of [A; B]."""
-    return _four_subspaces(p.n, linalg.orth(np.vstack([p.a, p.b])))
+    """The four-subspace system of a pair (`p.system`, built once per pair)."""
+    return p.system
 
 
 @dataclass
 class SystemEndBasis:
-    """Orthonormal basis (flattened row-major) of {T : T E_i <= E_i for all i}.
+    """Orthonormal basis of {T : T E_i <= E_i for all i}; the other fields describe its solve."""
 
-    The other fields describe the solve it was read from (`subspace_system_end`).
-    """
-
-    system: SubspaceSystem
     basis: list[np.ndarray]
     tol_used: float
     system_shape: tuple[int, int] = (0, 0)
@@ -485,27 +508,12 @@ def subspace_system_end(s: SubspaceSystem) -> SystemEndBasis:
     flat = eb.blocks[center].reshape(eb.dim, d * d)
     q = linalg.qr_orthonormalize(flat.T)
     basis = [q[:, j].reshape(d, d) for j in range(eb.dim)]
-    return SystemEndBasis(s, basis, eb.tol_used, eb.system_shape, eb.max_residual)
+    return SystemEndBasis(basis, eb.tol_used, eb.system_shape, eb.max_residual)
 
 
 def subspace_system_rep(s: SubspaceSystem) -> Rep:
-    """The inclusion-quiver representation of a subspace system.
-
-    Vertices 1..n carry the subspaces, vertex n+1 the ambient space, and arrow
-    a_k : k -> n+1 carries the injection.  T -> T_{n+1} identifies End of this
-    representation with End of the system.
-    """
-    n = len(s.injections)
-    center = str(n + 1)
-    q = new_quiver(
-        [str(i) for i in range(1, n + 1)] + [center],
-        [(f"a{i}", str(i), center) for i in range(1, n + 1)],
-        name=f"R{n}",
-    )
-    dims = {str(i): s.injections[i - 1].shape[1] for i in range(1, n + 1)}
-    dims[center] = s.ambient
-    mats = {f"a{i}": s.injections[i - 1] for i in range(1, n + 1)}
-    return new_rep(q, dims, mats)
+    """The inclusion-quiver representation of a subspace system (`s.rep`, built once per system)."""
+    return s.rep
 
 
 # ---------------------------------------------------------------------------
@@ -523,40 +531,34 @@ class PhiMapReport:
     membership_residual: float
 
 
-def phi_map(pair: OperatorPair, sys_end: SystemEndBasis | None = None) -> PhiMapReport:
+def phi_map(pair: OperatorPair) -> PhiMapReport:
     """Send an intertwiner (S, T) of the pair to T + T on the four-subspace system.
 
     The kernel consists of the pairs (S, 0), so its dimension is
     n * dim(ker A ∩ ker B); the map always lands in End of the system and is
-    onto it, which the report checks by dimension count.  `sys_end`, End of
-    `four_subspace_from_pair(pair)`, is solved here when not given.
+    onto it, which the report checks by dimension count.  Both Ends are read
+    from the representations the pair keeps, so each is solved once per pair.
     """
     n = pair.n
-    q = kronecker_quiver()
-    rep = new_rep(q, {"1": n, "2": n}, {"a": pair.a, "b": pair.b})
-    eb = end_basis(rep)
-    if sys_end is None:
-        sys_end = subspace_system_end(four_subspace_from_pair(pair))
-    system = sys_end.system
+    eb = end_basis(pair.rep)
+    system = four_subspace_from_pair(pair)
+    system_end_dim = end_basis(subspace_system_rep(system)).dim
 
-    t = eb.blocks["2"]
     images = np.zeros((eb.dim, 2 * n, 2 * n), dtype=complex)
-    images[:, :n, :n] = t
-    images[:, n:, n:] = t
+    images[:, :n, :n] = images[:, n:, n:] = eb.blocks["2"]
     eye2n = np.eye(2 * n, dtype=complex)
     projs = [j @ j.conj().T for j in system.injections]
     defects = [np.linalg.norm((eye2n - p) @ images @ p, axis=(-2, -1)) for p in projs]
     memb = float(np.max(defects, initial=0.0))
-    rank = linalg.matrix_rank(images.reshape(eb.dim, 4 * n * n))
-    ker_dim = eb.dim - rank
+    ker_dim = eb.dim - linalg.matrix_rank(images.reshape(eb.dim, 4 * n * n))
     joint_kernel = linalg.nullspace(np.vstack([pair.a, pair.b])).shape[1]
     return PhiMapReport(
         end_dim=eb.dim,
-        system_end_dim=sys_end.dim,
+        system_end_dim=system_end_dim,
         ker_dim=ker_dim,
         expected_ker_dim=n * joint_kernel,
         injective=ker_dim == 0,
-        surjective=sys_end.dim == eb.dim - ker_dim,
+        surjective=system_end_dim == eb.dim - ker_dim,
         membership_residual=memb,
     )
 
@@ -603,11 +605,6 @@ def is_strongly_irreducible(a, seed: int = 0) -> StrongIrreducibilityVerdict:
 # factorial-weight four-subspace family
 
 
-def hrr_log_weight(n: int) -> float:
-    """log w_n for the factorial-alternating weights: 0 for n <= 0, (-1)^n n! for n >= 1."""
-    return SequenceSpec("hrr").log_abs(n)
-
-
 def hrr_system(n: int) -> SubspaceSystem:
     """Four-subspace system of the truncated factorial-weight shift on C^{2n}.
 
@@ -620,7 +617,7 @@ def hrr_system(n: int) -> SubspaceSystem:
     lo = -((n - 1) // 2)
     e3 = np.zeros((2 * n, n), dtype=complex)
     for i in range(n - 1):
-        logw = hrr_log_weight(lo + i)
+        logw = SequenceSpec("hrr").log_abs(lo + i)
         if logw <= 0:
             t = math.exp(logw)
             c = 1.0 / math.sqrt(1.0 + t * t)

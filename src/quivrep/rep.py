@@ -94,10 +94,8 @@ def new_rep(q: Quiver, dims, mats=None) -> Rep:
             )
         if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
             raise ValueError(f"arrow {a.name!r}: matrix has non-finite entries")
-        out[a.name] = m.copy()
-    for m in out.values():
-        m.flags.writeable = False
-    return Rep(q, full_dims, out)
+        out[a.name] = m
+    return Rep(q, full_dims, {name: linalg.read_only(m) for name, m in out.items()})
 
 
 def zero_rep(q: Quiver) -> Rep:
@@ -175,11 +173,6 @@ class Hom:
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in self.mats.values())))
-
-    def flatten(self) -> np.ndarray:
-        """Concatenate the blocks (quiver vertex order, row-major entries)."""
-        parts = [self.mats[v].reshape(-1) for v in self.source.quiver.vertices]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
 def hom_residual(source: Rep, target: Rep, mats: dict[str, np.ndarray]) -> float:

@@ -198,7 +198,7 @@ class DirectSubspaceSpecs(unittest.TestCase):
             [(f"a{i}", str(i), "5") for i in range(1, 5)],
             name="R4",
         )
-        system = SubspaceSystem(4, sys4.injections + [np.eye(4, dtype=complex)], sys4.labels + ("H",))
+        system = SubspaceSystem(4, sys4.injections + (np.eye(4, dtype=complex),), sys4.labels + ("H",))
         rep = subspace_inclusion_rep(system, q, {"1": "E1", "2": "E2", "3": "E3", "4": "E4", "5": "H"})
         self.assertEqual(end_basis(rep).dim, 2)
 

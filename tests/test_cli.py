@@ -218,8 +218,9 @@ def test_analyze_solves_end_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_opmodel_phi_solves_the_system_end_once(monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, opmodels, "subspace_system_end")
+def test_opmodel_solves_each_end_once(monkeypatch, capsys):
+    # one End for the four-subspace system, one for the pair
+    calls = _count_calls(monkeypatch, hom, "hom_basis")
     code, report = run_json(
         capsys,
         [
@@ -228,7 +229,7 @@ def test_opmodel_phi_solves_the_system_end_once(monkeypatch, capsys):
         ],
     )
     assert code == 0 and report["phi"]["surjective"] is True
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_opmodel_four_subspace_phi_factors_the_system_once(monkeypatch, capsys):

@@ -150,7 +150,7 @@ def test_basis_is_orthonormal_when_flattened(rng):
     q = qr.kronecker_quiver()
     r = random_rep(q, {"1": 3, "2": 2}, rng)
     eb = qr.end_basis(r)
-    flat = np.array([h.flatten() for h in eb.basis])
+    flat = np.array([np.concatenate([h.mats[v].reshape(-1) for v in q.vertices]) for h in eb.basis])
     gram = flat @ flat.conj().T
     assert np.allclose(gram, np.eye(eb.dim), atol=1e-10)
 

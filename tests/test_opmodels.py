@@ -24,13 +24,12 @@ from quivrep import (
     subspace_system_end,
     subspace_system_rep,
 )
-from quivrep import opmodels
+from quivrep import hom
 from quivrep.errors import PreconditionError
 from quivrep.hom import end_basis
 from quivrep.opmodels import (
     _ratio_logs,
     diag_of,
-    hrr_log_weight,
     parity_weight_pair,
     rank_one,
     unilateral_shift,
@@ -146,7 +145,7 @@ def test_fixture_matrices():
     s = unilateral_shift(3)
     e1 = np.eye(3, dtype=complex)[:, 0]
     assert np.array_equal(s @ e1, np.eye(3, dtype=complex)[:, 1])
-    assert np.array_equal(s, make_fixture("bilateral_shift", n=3))
+    assert np.array_equal(s, make_fixture("unilateral_shift", n=3))
 
     assert np.array_equal(jordan_block(2), np.array([[0, 0], [1, 0]], dtype=complex))
     j = jordan_block(3, 2.0)
@@ -413,14 +412,43 @@ def test_phi_map_joint_kernel_shows_up():
     assert rep.membership_residual < 1e-10
 
 
-def test_phi_map_reuses_a_given_system_end(monkeypatch):
+def test_four_subspace_flow_solves_each_end_once(monkeypatch):
+    # the pair keeps its system and its Kronecker rep, and each rep keeps its
+    # End, so the flow solves one End for the system and one for the pair
+    solved = []
+    original = hom.hom_basis
+
+    def counted(r1, r2):
+        solved.append(r1)
+        return original(r1, r2)
+
+    monkeypatch.setattr(hom, "hom_basis", counted)
     pair = kron_pair_shift_rank_one("seq:reciprocal", "seq:one-minus-pow:2", 4)
-    sys_end = subspace_system_end(four_subspace_from_pair(pair))
-    calls = []
-    monkeypatch.setattr(opmodels, "subspace_system_end", lambda s: calls.append(s))
-    report = phi_map(pair, sys_end)
-    assert calls == []
-    assert report.system_end_dim == sys_end.dim and report.surjective
+    system = four_subspace_from_pair(pair)
+    sys_end = subspace_system_end(system)
+    rep_end = end_basis(subspace_system_rep(system))
+    report = phi_map(pair)
+    assert four_subspace_from_pair(pair) is system
+    assert len(solved) == 2
+    assert solved[0] is subspace_system_rep(system) and solved[1] is pair.rep
+    assert sys_end.dim == rep_end.dim == report.system_end_dim
+    assert report.surjective
+
+
+def test_pairs_and_systems_are_read_only():
+    a, b = jordan_block(3), np.eye(3, dtype=complex)
+    pair = OperatorPair(a, b)
+    system = four_subspace_from_pair(pair)
+    for m in (pair.a, pair.b, *system.injections):
+        with pytest.raises(ValueError):
+            m[0, 0] = 7.0
+    a[0, 0] = b[0, 0] = 7.0
+    assert np.array_equal(pair.a, jordan_block(3))
+    assert np.array_equal(pair.b, np.eye(3))
+    inj = np.eye(2, dtype=complex)
+    s = SubspaceSystem(2, [inj], ("E1",))
+    inj[0, 0] = 7.0
+    assert np.array_equal(s.injections[0], np.eye(2))
 
 
 def test_phi_map_random_pairs():
@@ -484,20 +512,20 @@ def test_strong_irreducibility_cases():
 
 
 def test_hrr_log_weights():
-    assert hrr_log_weight(-3) == 0.0
-    assert hrr_log_weight(0) == 0.0
-    assert hrr_log_weight(1) == -1.0
-    assert hrr_log_weight(2) == 2.0
-    assert hrr_log_weight(3) == -6.0
-    assert hrr_log_weight(4) == 24.0
+    spec = SequenceSpec("hrr")
+    assert spec.log_abs(-3) == 0.0
+    assert spec.log_abs(0) == 0.0
+    assert spec.log_abs(1) == -1.0
+    assert spec.log_abs(2) == 2.0
+    assert spec.log_abs(3) == -6.0
+    assert spec.log_abs(4) == 24.0
     # finite far beyond double overflow of the weight itself; saturates only
     # when the factorial itself leaves double range, which the direction-vector
     # construction absorbs
-    assert math.isfinite(hrr_log_weight(170))
-    assert hrr_log_weight(200) == math.inf
-    assert hrr_log_weight(201) == -math.inf
+    assert math.isfinite(spec.log_abs(170))
+    assert spec.log_abs(200) == math.inf
+    assert spec.log_abs(201) == -math.inf
 
-    spec = SequenceSpec("hrr")
     window = [spec.value(n) for n in range(-2, 3)]
     assert window == pytest.approx([1.0, 1.0, 1.0, math.exp(-1.0), math.exp(2.0)])
 

@@ -73,7 +73,6 @@ from .opmodels import (
     kron_pair_bilateral,
     kron_pair_shift_rank_one,
     log_mk,
-    make_fixture,
     parse_sequence,
     phi_map,
     subspace_system_end,

@@ -23,7 +23,7 @@ from . import linalg
 from .config import TOL
 from .errors import PreconditionError
 from .opmodels import SubspaceSystem
-from .quiver import Quiver, cycle_walk, graph_family, is_oriented_cycle, new_quiver
+from .quiver import Quiver, cycle_walk, graph_family, new_quiver
 from .rep import Rep, new_rep
 
 
@@ -121,23 +121,18 @@ def _dn_tilde(n: int) -> tuple[str, int, list, dict]:
     return f"D~{n}", 2, arrows, columns
 
 
-def build_extended_dynkin(family: str, s, n: int | None = None) -> Rep:
+def build_extended_dynkin(family: str, s) -> Rep:
     """Build the subspace representation of a family for the operator s on C^k.
 
-    `family` is one of "d{n}tilde" (n >= 4), "e6tilde", "e7tilde", "e8tilde";
-    a bare "dtilde" takes the fork count from `n`.
+    `family` is one of "d{n}tilde" (n >= 4), "e6tilde", "e7tilde", "e8tilde".
     """
     s, k = _validate_operator(s)
-    fam = family.lower().replace("_", "").replace("-", "")
-    match = re.fullmatch(r"d(\d*)tilde", fam)
+    match = re.fullmatch(r"d(\d+)tilde", family)
     if match:
-        count = int(match.group(1)) if match.group(1) else n
-        if count is None:
-            raise ValueError("the two-fork family needs its size, e.g. 'd4tilde'")
-        name, m, arrows, columns = _dn_tilde(int(count))
-    elif fam in _E_TILDE:
-        m, arms, columns = _E_TILDE[fam]
-        name = f"E~{fam[1]}"
+        name, m, arrows, columns = _dn_tilde(int(match.group(1)))
+    elif family in _E_TILDE:
+        m, arms, columns = _E_TILDE[family]
+        name = f"E~{family[1]}"
         arrows = [(f"a{i}{mark}", f"{i}{mark}", f"{i - 1}{mark}" if i > 1 else "0")
                   for mark, length in zip(("", "'", "''"), arms) for i in range(1, length + 1)]
     else:
@@ -164,12 +159,14 @@ def build_an_tilde_noncyclic(orientation: Quiver, a, b) -> AnTildeRep:
     else the identity.  The orientation must contain both senses (an oriented
     cycle is rejected) and the two operators must act on the same space.
     """
-    fam = graph_family(orientation)
-    if fam.family != "A~":
+    walk = cycle_walk(orientation)
+    if walk is None:
         raise PreconditionError(
-            f"the underlying graph must be a single cycle; got {fam.label}"
+            f"the underlying graph must be a single cycle; got {graph_family(orientation).label}"
         )
-    if is_oriented_cycle(orientation):
+    with_arrow = next((arr.name for arr, tail in walk if arr.src == tail), None)
+    against_arrow = next((arr.name for arr, tail in walk if arr.src != tail), None)
+    if with_arrow is None or against_arrow is None:
         raise PreconditionError(
             "the orientation is a directed cycle; this construction needs both senses present"
         )
@@ -179,9 +176,6 @@ def build_an_tilde_noncyclic(orientation: Quiver, a, b) -> AnTildeRep:
         raise ValueError(f"need two square matrices of equal size, got {a.shape} and {b.shape}")
     size = a.shape[0]
 
-    walk = cycle_walk(orientation)
-    with_arrow = next(arr.name for arr, tail in walk if arr.src == tail)
-    against_arrow = next(arr.name for arr, tail in walk if arr.src != tail)
     mats = {arr.name: np.eye(size, dtype=complex) for arr in orientation.arrows}
     mats[with_arrow], mats[against_arrow] = a, b
     rep = new_rep(orientation, {vtx: size for vtx in orientation.vertices}, mats)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import builders, cyclic, hom, linalg, opmodels, reflection, textio, verify
 from .config import IDEM_TOL, TOL
-from .errors import ParseError, PreconditionError
+from .errors import ParseError
 from .quiver import kronecker_quiver
 from .textio import fmt_real
 
@@ -338,13 +338,7 @@ def run(argv=None) -> int:
     try:
         report, code = _COMMANDS[args.command](args, echo)
         text = render_report(report, args.fmt)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -100,13 +100,7 @@ def cn_transitive_criterion(r: Rep) -> bool:
     true exactly when the nonzero vertices form one component.
     """
     order_v, _ = _cycle_order(r.quiver)
-    if len(order_v) == 1:
-        raise PreconditionError(
-            "a one-vertex cycle is a loop; the scalar criterion does not apply (use is_transitive)"
-        )
-    if any(r.dims[v] > 1 for v in order_v):
-        return False
-    if all(r.dims[v] == 0 for v in order_v):
+    if len(order_v) > 1 and any(r.dims[v] > 1 for v in order_v):
         return False
     return len(hf_components(r)) == 1
 

@@ -198,32 +198,8 @@ def unilateral_shift(n: int) -> np.ndarray:
     return np.eye(n, k=-1, dtype=complex)
 
 
-def diag_of(seq, n: int) -> np.ndarray:
-    s = parse_sequence(seq)
-    return np.diag([complex(s.value(i)) for i in range(1, n + 1)]).astype(complex)
-
-
 def jordan_block(n: int, lam: complex = 0.0) -> np.ndarray:
     return lam * np.eye(n, dtype=complex) + np.eye(n, k=-1, dtype=complex)
-
-
-def rank_one(x, y) -> np.ndarray:
-    """theta_{x,y}: z -> (z|y) x, i.e. the matrix x y*."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    return np.outer(x, y.conj())
-
-
-def make_fixture(kind: str, **params) -> np.ndarray:
-    builders = {
-        "unilateral_shift": lambda: unilateral_shift(int(params["n"])),
-        "diag": lambda: diag_of(params["seq"], int(params["n"])),
-        "jordan": lambda: jordan_block(int(params["n"]), complex(params.get("lam", 0.0))),
-        "rank_one": lambda: rank_one(params["x"], params["y"]),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown fixture kind {kind!r}; expected one of {sorted(builders)}")
-    return builders[kind]()
 
 
 # ---------------------------------------------------------------------------

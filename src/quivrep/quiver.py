@@ -33,12 +33,6 @@ class Quiver:
     arrows: tuple[Arrow, ...]
     name: str = field(default="Q", compare=False)
 
-    def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise KeyError(f"no arrow named {name!r}")
-
     def arrows_into(self, v) -> list[Arrow]:
         v = _label(v)
         return [a for a in self.arrows if a.dst == v]
@@ -60,12 +54,8 @@ def new_quiver(vertices, arrows, name: str = "Q") -> Quiver:
         raise ValueError(f"duplicate vertex labels in {vs}")
     built = []
     seen = set()
-    for spec in arrows:
-        if isinstance(spec, Arrow):
-            a = spec
-        else:
-            nm, src, dst = spec
-            a = Arrow(_label(nm), _label(src), _label(dst))
+    for nm, src, dst in arrows:
+        a = Arrow(_label(nm), _label(src), _label(dst))
         if a.name in seen:
             raise ValueError(f"duplicate arrow name {a.name!r}")
         seen.add(a.name)
@@ -232,27 +222,16 @@ def graph_family(q: Quiver) -> GraphFamily:
     if not _connected(q):
         return GraphFamily("other")
     nv = len(q.vertices)
-    ne = len(q.arrows)
-    loops = [a for a in q.arrows if a.src == a.dst]
+    if cycle_walk(q) is not None:
+        return GraphFamily("A~", nv - 1, oriented_cycle=is_oriented_cycle(q))
+    if len(q.arrows) != nv - 1:
+        return GraphFamily("other")
+
+    # trees from here on
     degree = {v: 0 for v in q.vertices}
     for a in q.arrows:
         degree[a.src] += 1
         degree[a.dst] += 1
-
-    if loops:
-        if nv == 1 and ne == 1:
-            return GraphFamily("A~", 0, oriented_cycle=True)
-        return GraphFamily("other")
-
-    if ne == nv:  # exactly one cycle
-        if all(degree[v] == 2 for v in q.vertices):
-            return GraphFamily("A~", nv - 1, oriented_cycle=is_oriented_cycle(q))
-        return GraphFamily("other")
-
-    if ne != nv - 1:
-        return GraphFamily("other")
-
-    # trees from here on
     branch = [v for v in q.vertices if degree[v] >= 3]
     if not branch:
         return GraphFamily("A", nv)

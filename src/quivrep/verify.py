@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import builders, cyclic, hom, opmodels, reflection, rep
+from . import builders, cyclic, hom, linalg, opmodels, reflection, rep
 from .quiver import kronecker_quiver, new_quiver
 from .rep import new_rep
 from .textio import fmt_real
@@ -255,7 +255,7 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
 
     pair = opmodels.kron_pair_shift_rank_one(lam, w, 16)
     s = np.linalg.svd(pair.a, compute_uv=False)
-    ok = bool(s[-1] > 1e-12 * s[0])
+    ok = bool(s[-1] > linalg.svd_cutoff(s, pair.a.shape))
     checks.append(Check("shift-plus-rank-one operator has trivial kernel", ok,
                         f"sigma_min={fmt_real(float(s[-1]))}"))
 

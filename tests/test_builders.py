@@ -15,7 +15,7 @@ from quivrep.errors import PreconditionError
 from quivrep.hom import end_basis, is_indecomposable
 from quivrep.opmodels import jordan_block
 from quivrep.cyclic import cycle_quiver
-from quivrep.quiver import an_quiver, kronecker_quiver, new_quiver
+from quivrep.quiver import an_quiver, jordan_quiver, kronecker_quiver, new_quiver
 from quivrep.rep import decompose_with, is_invertible_hom, new_rep
 
 # dim vectors per family for an operator on C^k, in quiver vertex order
@@ -71,13 +71,6 @@ class ExtendedFamilyShapes(unittest.TestCase):
             for arr in rep.quiver.arrows:
                 m = rep.mats[arr.name]
                 self.assertLess(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1])), 1e-10, arr.name)
-
-    def test_bare_dtilde_takes_n_parameter(self):
-        rep = build_extended_dynkin("dtilde", np.eye(1), n=5)
-        self.assertEqual(rep.quiver.name, "D~5")
-        self.assertEqual(sorted(rep.dim_vector), [1, 1, 1, 1, 2, 2])
-        with self.assertRaises(ValueError):
-            build_extended_dynkin("dtilde", np.eye(1))  # size missing
 
     def test_rejections(self):
         with self.assertRaises(PreconditionError):
@@ -136,13 +129,27 @@ class NonCyclicCycleBuilder(unittest.TestCase):
         # same commutant as the size-1 Kronecker pair (I, I): all of C
         self.assertEqual(end_basis(built.rep).dim, 1)
 
+    def _rejection(self, q):
+        with self.assertRaises(PreconditionError) as caught:
+            build_an_tilde_noncyclic(q, np.eye(1), np.eye(1))
+        return str(caught.exception)
+
     def test_oriented_cycle_rejected(self):
-        with self.assertRaises(PreconditionError):
-            build_an_tilde_noncyclic(cycle_quiver(3), np.eye(1), np.eye(1))
+        for q in (cycle_quiver(3), jordan_quiver()):
+            self.assertEqual(
+                self._rejection(q),
+                "the orientation is a directed cycle; this construction needs both senses present",
+            )
 
     def test_non_cycle_graph_rejected(self):
-        with self.assertRaises(PreconditionError):
-            build_an_tilde_noncyclic(an_quiver(3, "><"), np.eye(1), np.eye(1))
+        # a triangle with a pendant vertex: as many arrows as vertices, but no single cycle
+        pendant = new_quiver(
+            ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "3", "2"), ("c", "1", "3"), ("d", "3", "4")]
+        )
+        for q, label in ((an_quiver(3, "><"), "A3"), (pendant, "other")):
+            self.assertEqual(
+                self._rejection(q), f"the underlying graph must be a single cycle; got {label}"
+            )
 
     def test_shape_mismatch_rejected(self):
         with self.assertRaises(ValueError):

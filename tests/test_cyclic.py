@@ -112,9 +112,10 @@ def test_components_reject_higher_dims():
 
 
 def test_criterion_rejects_single_vertex_loop():
-    r = qr.cycle_rep([1], [1.0])
-    with pytest.raises(qr.PreconditionError):
-        qr.cn_transitive_criterion(r)
+    # the loop is rejected before any dimension is read, so dimension 2 raises too
+    for r in (qr.cycle_rep([1], [1.0]), qr.cycle_rep([2], [np.eye(2)])):
+        with pytest.raises(qr.PreconditionError, match="one-vertex cycle is a loop"):
+            qr.cn_transitive_criterion(r)
 
 
 def test_criterion_false_on_zero_rep():

@@ -18,7 +18,6 @@ from quivrep import (
     kron_pair_bilateral,
     kron_pair_shift_rank_one,
     log_mk,
-    make_fixture,
     parse_sequence,
     phi_map,
     subspace_system_end,
@@ -29,9 +28,7 @@ from quivrep.errors import PreconditionError
 from quivrep.hom import end_basis
 from quivrep.opmodels import (
     _ratio_logs,
-    diag_of,
     parity_weight_pair,
-    rank_one,
     unilateral_shift,
 )
 
@@ -145,25 +142,10 @@ def test_fixture_matrices():
     s = unilateral_shift(3)
     e1 = np.eye(3, dtype=complex)[:, 0]
     assert np.array_equal(s @ e1, np.eye(3, dtype=complex)[:, 1])
-    assert np.array_equal(s, make_fixture("unilateral_shift", n=3))
 
     assert np.array_equal(jordan_block(2), np.array([[0, 0], [1, 0]], dtype=complex))
     j = jordan_block(3, 2.0)
     assert np.array_equal(np.diag(j), np.full(3, 2.0 + 0j))
-
-    d = diag_of("seq:reciprocal", 4)
-    assert np.allclose(np.diag(d), [1.0, 0.5, 1.0 / 3.0, 0.25])
-
-    x = np.array([1.0, 0.0])
-    y = np.array([2.0, 1j])
-    theta = rank_one(x, y)
-    z = np.array([1.0, 1.0])
-    want = np.vdot(y, z) * x  # (z | y) x
-    assert np.allclose(theta @ z, want)
-
-    assert np.array_equal(make_fixture("jordan", n=2), jordan_block(2))
-    with pytest.raises(ValueError):
-        make_fixture("banded", n=3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 import unittest
 
 import pytest
@@ -170,6 +171,62 @@ def test_family_other_for_unrecognized():
     assert graph_family(y).family == "other"
     two = qr.new_quiver(["1", "2"], [])
     assert graph_family(two).family == "other"
+
+
+def _random_quiver(rng):
+    """1-8 vertices and 0 to |V|+1 arrows, loops and parallel arrows allowed.
+
+    Half the draws start from a single cycle in random vertex order and random
+    directions, perturbed or not, so that cycles are not rare in the sweep.
+    """
+    nv = rng.randint(1, 8)
+    vs = [str(i) for i in range(1, nv + 1)]
+    if rng.random() < 0.5:
+        ends = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, nv + 1))]
+    else:
+        ring = rng.sample(vs, nv)
+        ends = [(u, w) if rng.random() < 0.5 else (w, u) for u, w in zip(ring, ring[1:] + ring[:1])]
+        if rng.random() < 0.5:
+            ends[rng.randrange(nv)] = (rng.choice(vs), rng.choice(vs))
+        rng.shuffle(ends)
+    return qr.new_quiver(vs, [(f"e{i}", u, w) for i, (u, w) in enumerate(ends)])
+
+
+def _oracle_cycle(q):
+    """(single cycle, oriented) from degrees and a connectivity search."""
+    degree = {v: 0 for v in q.vertices}
+    out = {v: 0 for v in q.vertices}
+    adj = {v: set() for v in q.vertices}
+    for a in q.arrows:
+        degree[a.src] += 1
+        degree[a.dst] += 1
+        out[a.src] += 1
+        adj[a.src].add(a.dst)
+        adj[a.dst].add(a.src)
+    seen, todo = {q.vertices[0]}, [q.vertices[0]]
+    while todo:
+        for w in adj[todo.pop()] - seen:
+            seen.add(w)
+            todo.append(w)
+    single = (len(seen) == len(q.vertices) and len(q.arrows) == len(q.vertices)
+              and all(d == 2 for d in degree.values()))
+    return single, single and all(n == 1 for n in out.values())
+
+
+def test_cycle_recognition_matches_degree_oracle():
+    rng = random.Random(2017)
+    cycles = oriented = 0
+    for _ in range(2000):
+        q = _random_quiver(rng)
+        single, one_way = _oracle_cycle(q)
+        fam = graph_family(q)
+        assert (fam.family == "A~") == single, q
+        assert fam.oriented_cycle == one_way, q
+        assert qr.is_oriented_cycle(q) == one_way, q
+        cycles += single
+        oriented += one_way
+    # the sweep must reach both answers often enough to mean something
+    assert cycles > 200 and oriented > 50
 
 
 def test_parse_orientation_forms():

@@ -18,7 +18,6 @@ from .quiver import (
     kronecker_quiver,
     new_quiver,
     opposite,
-    reverse_at,
     vertex_kinds,
 )
 from .rep import (

@@ -184,9 +184,14 @@ def _parse_op(spec: str) -> np.ndarray:
         if k < 1:
             raise ParseError(f"Jordan size must be >= 1, got {k}")
         lam = textio.parse_complex(parts[2]) if len(parts) == 3 else 0.0
+        if not np.isfinite(lam):
+            raise ParseError(f"non-finite eigenvalue in operator literal {spec!r}")
         return opmodels.jordan_block(k, lam)
     if spec.startswith("file:"):
-        return textio.parse_matrix(_read(spec[len("file:") :]))
+        op = textio.parse_matrix(_read(spec[len("file:") :]))
+        if not np.all(np.isfinite(op)):
+            raise ParseError(f"non-finite entry in operator file {spec!r}")
+        return op
     raise ParseError(f"operator literal {spec!r}; expected jordan:k[:lam] or file:<mat>")
 
 

@@ -416,16 +416,3 @@ def find_isomorphism(r1: Rep, r2: Rep, seed: int = 0) -> Hom | None:
             return t
     return None
 
-
-__all__ = [
-    "HomBasis",
-    "hom_basis",
-    "end_basis",
-    "TransitivityVerdict",
-    "is_transitive",
-    "find_nontrivial_idempotent",
-    "IndecomposabilityVerdict",
-    "is_indecomposable",
-    "find_isomorphism",
-    "make_hom",
-]

@@ -1,23 +1,18 @@
 """Finite quiver data model: vertex classification, orientation surgery, shape recognition.
 
 A quiver is a finite directed multigraph.  Vertex and arrow identifiers are
-strings (numeric labels are mapped to their decimal strings), loops and
-parallel arrows are allowed, and declaration order is significant: every
-operation that stacks blocks per arrow does so in declaration order.
+strings, loops and parallel arrows are allowed, and declaration order is
+significant: every operation that stacks blocks per arrow does so in
+declaration order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import PreconditionError
 from .linalg import connected_components
 
 REVERSAL_MARK = "~"
-
-
-def _label(x) -> str:
-    return x if isinstance(x, str) else str(x)
 
 
 @dataclass(frozen=True)
@@ -26,6 +21,10 @@ class Arrow:
     src: str
     dst: str
 
+    def reversed(self) -> Arrow:
+        """The arrow dst -> src; reversing twice restores the original id."""
+        return Arrow(toggle_mark(self.name), self.dst, self.src)
+
 
 @dataclass(frozen=True)
 class Quiver:
@@ -33,21 +32,21 @@ class Quiver:
     arrows: tuple[Arrow, ...]
     name: str = field(default="Q", compare=False)
 
-    def arrows_into(self, v) -> list[Arrow]:
-        v = _label(v)
+    def arrows_into(self, v: str) -> list[Arrow]:
         return [a for a in self.arrows if a.dst == v]
 
-    def arrows_out_of(self, v) -> list[Arrow]:
-        v = _label(v)
+    def arrows_out_of(self, v: str) -> list[Arrow]:
         return [a for a in self.arrows if a.src == v]
 
-    def has_vertex(self, v) -> bool:
-        return _label(v) in self.vertices
+    def has_vertex(self, v: str) -> bool:
+        return v in self.vertices
 
 
 def new_quiver(vertices, arrows, name: str = "Q") -> Quiver:
-    """Build a quiver from vertex labels and (name, src, dst) triples."""
-    vs = tuple(_label(v) for v in vertices)
+    """Build a quiver from vertex labels and (name, src, dst) triples, all strings."""
+    vs = tuple(vertices)
+    if any(not isinstance(v, str) for v in vs):
+        raise ValueError(f"vertex labels must be strings, got {vs}")
     if len(vs) == 0:
         raise ValueError("a quiver needs at least one vertex")
     if len(set(vs)) != len(vs):
@@ -55,7 +54,9 @@ def new_quiver(vertices, arrows, name: str = "Q") -> Quiver:
     built = []
     seen = set()
     for nm, src, dst in arrows:
-        a = Arrow(_label(nm), _label(src), _label(dst))
+        if not isinstance(nm, str):
+            raise ValueError(f"arrow names must be strings, got {nm!r}")
+        a = Arrow(nm, src, dst)
         if a.name in seen:
             raise ValueError(f"duplicate arrow name {a.name!r}")
         seen.add(a.name)
@@ -96,40 +97,9 @@ def toggle_mark(name: str) -> str:
     return name + REVERSAL_MARK
 
 
-def reverse_at(q: Quiver, v, mode: str) -> Quiver:
-    """Reverse all arrows at `v`: mode 'sink' flips incoming, 'source' outgoing.
-
-    The vertex must actually be of the requested kind (a loop vertex is
-    neither, so it is always rejected).
-    """
-    v = _label(v)
-    if not q.has_vertex(v):
-        raise ValueError(f"no vertex {v!r}")
-    if mode == "sink":
-        if q.arrows_out_of(v):
-            raise PreconditionError(
-                f"vertex {v!r} is not a sink; arrows leave it, so reversing the incoming arrows is undefined"
-            )
-        flipped = lambda a: a.dst == v
-    elif mode == "source":
-        if q.arrows_into(v):
-            raise PreconditionError(
-                f"vertex {v!r} is not a source; arrows enter it, so reversing the outgoing arrows is undefined"
-            )
-        flipped = lambda a: a.src == v
-    else:
-        raise ValueError(f"mode must be 'sink' or 'source', got {mode!r}")
-    arrows = [
-        Arrow(toggle_mark(a.name), a.dst, a.src) if flipped(a) else a
-        for a in q.arrows
-    ]
-    return Quiver(q.vertices, tuple(arrows), name=q.name)
-
-
 def opposite(q: Quiver) -> Quiver:
     """Reverse every arrow; applying twice restores the quiver, ids included."""
-    arrows = tuple(Arrow(toggle_mark(a.name), a.dst, a.src) for a in q.arrows)
-    return Quiver(q.vertices, arrows, name=q.name)
+    return Quiver(q.vertices, tuple(a.reversed() for a in q.arrows), name=q.name)
 
 
 def cycle_walk(q: Quiver) -> list[tuple[Arrow, str]] | None:

@@ -19,7 +19,7 @@ from . import linalg
 from .config import IDEM_TOL
 from .errors import PreconditionError
 from .hom import end_basis
-from .quiver import _label, opposite, parse_orientation, reverse_at, toggle_mark
+from .quiver import new_quiver, opposite, parse_orientation, toggle_mark
 from .rep import Hom, Rep, hom_residual, make_hom, new_rep
 
 
@@ -38,6 +38,8 @@ class ReflectionResult:
 
 def _arrival_map(r: Rep, v: str):
     """The arrows into the sink v and their combined arrival map [f_a]."""
+    if not r.quiver.has_vertex(v):
+        raise ValueError(f"no vertex {v!r} in quiver {r.quiver.name!r}")
     if r.quiver.arrows_out_of(v):
         raise PreconditionError(
             f"vertex {v!r} is not a sink; the forward reflection is defined only at a sink"
@@ -49,6 +51,8 @@ def _arrival_map(r: Rep, v: str):
 
 
 def _require_source(r: Rep, v: str):
+    if not r.quiver.has_vertex(v):
+        raise ValueError(f"no vertex {v!r} in quiver {r.quiver.name!r}")
     if r.quiver.arrows_into(v):
         raise PreconditionError(
             f"vertex {v!r} is not a source; the backward reflection is defined only at a source"
@@ -65,9 +69,8 @@ def _stacked_blocks(r: Rep, arrows):
     return verts, tuple(offsets)
 
 
-def reflect_sink(r: Rep, v) -> ReflectionResult:
-    """Forward reflection at a sink."""
-    v = _label(v)
+def reflect_sink(r: Rep, v: str) -> ReflectionResult:
+    """Forward reflection at a sink: the arrows into v are reversed and marked."""
     q = r.quiver
     arrows, h = _arrival_map(r, v)
     verts, offsets = _stacked_blocks(r, arrows)
@@ -75,22 +78,23 @@ def reflect_sink(r: Rep, v) -> ReflectionResult:
 
     dims = dict(r.dims)
     dims[v] = kernel.shape[1]
-    reversed_names = {a.name for a in arrows}
-    mats = {a.name: r.mats[a.name] for a in q.arrows if a.name not in reversed_names}
+    mats = {a.name: r.mats[a.name] for a in q.arrows if a.dst != v}
     for a, off in zip(arrows, offsets):
         # reversed arrow v -> src(a): rows of the kernel basis belonging to src(a)
         mats[toggle_mark(a.name)] = kernel[off : off + r.dims[a.src], :]
-    out = new_rep(reverse_at(q, v, "sink"), dims, mats)
+    # new_quiver rejects a marked name that clashes with an arrow kept as it is
+    arrows_out = [a.reversed() if a.dst == v else a for a in q.arrows]
+    flipped = new_quiver(q.vertices, [(a.name, a.src, a.dst) for a in arrows_out], name=q.name)
+    out = new_rep(flipped, dims, mats)
     return ReflectionResult(out, r, v, "sink", kernel, verts, offsets)
 
 
-def reflect_source(r: Rep, v) -> ReflectionResult:
+def reflect_source(r: Rep, v: str) -> ReflectionResult:
     """Backward reflection at a source: dual ∘ reflect_sink ∘ dual.
 
     The kernel basis and the block layout are those of the forward reflection
     of the dual, which live in the same stacked space of the targets.
     """
-    v = _label(v)
     _require_source(r, v)
     res = reflect_sink(dual(r), v)
     return ReflectionResult(
@@ -138,15 +142,13 @@ def transport_hom(res1: ReflectionResult, res2: ReflectionResult, t: Hom) -> Hom
 # hypothesis predicates
 
 
-def is_full_at_sink(r: Rep, v) -> bool:
+def is_full_at_sink(r: Rep, v: str) -> bool:
     """rank of the combined arrival map equals dim H_v."""
-    v = _label(v)
     return linalg.matrix_rank(_arrival_map(r, v)[1]) == r.dims[v]
 
 
-def is_co_full_at_source(r: Rep, v) -> bool:
+def is_co_full_at_source(r: Rep, v: str) -> bool:
     """rank of the combined departure map equals dim H_v (fullness of the dual)."""
-    v = _label(v)
     _require_source(r, v)
     return is_full_at_sink(dual(r), v)
 
@@ -178,14 +180,13 @@ class EndIsoReport:
         )
 
 
-def verify_end_isomorphism(r: Rep, v, direction: str) -> EndIsoReport:
+def verify_end_isomorphism(r: Rep, v: str, direction: str) -> EndIsoReport:
     """Check that the reflection carries End(r) isomorphically onto End(reflected).
 
     direction "plus" reflects at a sink (hypothesis: full), "minus" at a source
     (hypothesis: co-full).  When the hypothesis fails the comparison still runs
     and the report flags the violated hypothesis instead of guessing.
     """
-    v = _label(v)
     if direction == "plus":
         res = reflect_sink(r, v)
     elif direction == "minus":
@@ -233,20 +234,21 @@ def verify_end_isomorphism(r: Rep, v, direction: str) -> EndIsoReport:
 # orientation walks on A_n
 
 
-def orientation_sequence_an(n: int, target) -> list[int]:
-    """Vertices to backward-reflect, in order, turning the all-rightward A_n
-    path into the given orientation.
+def orientation_sequence_an(n: int, target) -> list[str]:
+    """Vertices of `an_quiver(n)` to backward-reflect, in order, turning the
+    all-rightward A_n path into the given orientation.
 
     Every emitted vertex is a source of the intermediate orientation at its
-    step and never equals n.  The construction sweeps each leftward edge of
-    the target from edge 1 outwards, farthest target position first.
+    step and is never the last vertex "n".  The construction sweeps each
+    leftward edge of the target from edge 1 outwards, farthest target
+    position first.
     """
     if n < 1:
         raise PreconditionError(f"A_n needs n >= 1, got {n}")
     dirs = parse_orientation(n, target)
     targets = [i + 1 for i, right in enumerate(dirs) if not right]  # 1-based edge positions
 
-    seq: list[int] = []
+    seq: list[str] = []
     for p in sorted(targets, reverse=True):
-        seq.extend(range(1, p + 1))
+        seq.extend(str(i) for i in range(1, p + 1))
     return seq

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .config import IDEM_TOL
 from .errors import PreconditionError
-from .quiver import Quiver, _label
+from .quiver import Quiver
 
 if TYPE_CHECKING:
     from .hom import HomBasis
@@ -32,8 +32,8 @@ class Rep:
     # End of this representation, kept by `hom.end_basis` (its only writer)
     _end: HomBasis | None = field(default=None, init=False, repr=False, compare=False)
 
-    def dim(self, v) -> int:
-        return self.dims[_label(v)]
+    def dim(self, v: str) -> int:
+        return self.dims[v]
 
     def mat(self, arrow_name: str) -> np.ndarray:
         return self.mats[arrow_name]
@@ -64,7 +64,7 @@ def new_rep(q: Quiver, dims, mats=None) -> Rep:
     Every matrix is copied and marked read-only, so End, once solved for the
     representation (`hom.end_basis`), stays valid.
     """
-    dims = {_label(v): int(d) for v, d in dict(dims).items()}
+    dims = {v: int(d) for v, d in dict(dims).items()}
     for v in dims:
         if v not in q.vertices:
             raise ValueError(f"dims mentions unknown vertex {v!r}")
@@ -124,7 +124,7 @@ def conjugate(r: Rep, phi: dict) -> Rep:
     `phi` maps vertices to invertible square matrices; missing vertices get the
     identity.  Singular or mis-shaped blocks are rejected.
     """
-    phi = {_label(v): np.asarray(m, dtype=complex) for v, m in dict(phi).items()}
+    phi = {v: np.asarray(m, dtype=complex) for v, m in dict(phi).items()}
     for v, m in phi.items():
         if v not in r.quiver.vertices:
             raise ValueError(f"phi mentions unknown vertex {v!r}")
@@ -168,8 +168,8 @@ class Hom:
         """
         return hom_residual(self.source, self.target, self.mats)
 
-    def mat(self, v) -> np.ndarray:
-        return self.mats[_label(v)]
+    def mat(self, v: str) -> np.ndarray:
+        return self.mats[v]
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in self.mats.values())))
@@ -197,19 +197,20 @@ def hom_residual(source: Rep, target: Rep, mats: dict[str, np.ndarray]) -> float
 
 
 def make_hom(source: Rep, target: Rep, mats: dict) -> Hom:
-    """Package matrices as a Hom, validating shapes (missing blocks are zero)."""
+    """Package matrices as a Hom, validating vertices and shapes (missing blocks are zero)."""
     if source.quiver != target.quiver:
         raise ValueError("a hom needs source and target over the same quiver")
-    mats = {_label(v): np.asarray(m, dtype=complex) for v, m in dict(mats).items()}
+    mats = dict(mats)
     full = {}
     for v in source.quiver.vertices:
         want = (target.dims[v], source.dims[v])
-        m = mats.get(v)
-        if m is None:
-            m = np.zeros(want, dtype=complex)
+        m = mats.pop(v, None)
+        m = np.zeros(want, dtype=complex) if m is None else np.asarray(m, dtype=complex)
         if m.shape != want:
             raise ValueError(f"block {v!r} has shape {m.shape}, expected {want}")
         full[v] = m
+    if mats:
+        raise ValueError(f"blocks for unknown vertices {list(mats)}")
     return Hom(source, target, full)
 
 

@@ -150,16 +150,7 @@ def parse_rep(text: str) -> Rep:
     name, vertices, arrows, dims, mats = _scan(text)
     try:
         q = new_quiver(vertices, arrows, name=name if name is not None else "Q")
-        for v in dims:
-            if not q.has_vertex(v):
-                raise ValueError(f"dim line for unknown vertex {v!r}")
-        arrow_names = {a.name for a in q.arrows}
-        for a in mats:
-            if a not in arrow_names:
-                raise ValueError(f"mat line for unknown arrow {a!r}")
         return new_rep(q, dims, mats)
-    except ParseError:
-        raise
     except ValueError as e:
         raise ParseError(str(e)) from None
 

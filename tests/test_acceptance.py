@@ -258,7 +258,7 @@ def test_11_every_orientation_of_a_path_is_reachable_by_source_flips():
             text = "".join(">" if right else "<" for right in target)
             seq = orientation_sequence_an(n, text)
             state = [True] * (n - 1)  # True: edge i points i -> i+1
-            for v in seq:
+            for v in map(int, seq):  # vertex labels "1".."n"
                 assert v != n, f"n={n} target={text}: flip at the forbidden endpoint"
                 left_ok = v == 1 or not state[v - 2]
                 right_ok = state[v - 1]

@@ -149,11 +149,17 @@ def test_build_antilde(capsys):
     assert report["arrow_a"] != report["arrow_b"]
 
 
-def test_build_bad_operator_literals(capsys):
+def test_build_bad_operator_literals(rep_file, capsys):
     assert cli.run(["build", "--family", "d4tilde", "--op", "jordan:zero"]) == 2
     assert cli.run(["build", "--family", "d4tilde", "--op", "jordan:0"]) == 2
     assert cli.run(["build", "--family", "d4tilde", "--op", "hankel:3"]) == 2
     assert cli.run(["build", "--family", "other", "--op", "jordan:2"]) == 2  # argparse choice
+    capsys.readouterr()
+    # a non-finite number is a parse error, rejected before any operator is built
+    for op in ("jordan:2:inf", "jordan:1:nan+1j", "file:" + rep_file("[[1, nan]; [0, 1]]\n", "op.txt")):
+        assert cli.run(["build", "--family", "d4tilde", "--op", op]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
 
 
 def test_cycle_command(rep_file, capsys):

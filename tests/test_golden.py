@@ -2,7 +2,10 @@
 
 Each file in tests/golden/ holds the argv, the exit code and the report of one
 `cli.run` call made from inside tests/golden/ (so input paths stay relative).
-JSON reports are stored parsed, text reports as their stdout.  The comparison:
+JSON reports are stored parsed, text reports as their stdout.  A command that
+writes to stderr, as the failing ones (`fail-*`) do, also stores that text, so
+a success that starts to warn and a failure that changes its message both
+show.  The comparison:
 
 - leaves that are neither strings nor floats match exactly;
 - float leaves, and numbers embedded in strings (rep text, witness text,
@@ -57,6 +60,13 @@ COMMANDS = {
     "opmodel-bilateral-text": ["opmodel", "--pair", "bilateral", "--lambda", "seq:exp-neg-pow:3:even",
                                "--w", "seq:exp-neg-pow:3:odd", "--n", "2", "--density", "--four-subspace",
                                "--phi"],
+    "fail-missing-file": ["analyze", "inputs/missing.txt"],
+    "fail-reflect-not-a-sink": ["reflect", "inputs/kron-random.txt", "--vertex", "1", "--dir", "plus"],
+    "fail-reflect-unknown-vertex": ["reflect", "inputs/kron-random.txt", "--vertex", "9", "--dir", "plus"],
+    "fail-build-infinite-eigenvalue": ["build", "--family", "d4tilde", "--op", "jordan:2:inf"],
+    "fail-opmodel-nan-weight": ["opmodel", "--pair", "bilateral", "--lambda", "seq:const:nan",
+                                "--w", "seq:const:1", "--n", "2"],
+    "fail-cycle-not-a-cycle": ["cycle", "inputs/star.txt"],
 }
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -77,6 +87,8 @@ def run_command(argv) -> dict:
         record["report"] = json.loads(stdout)
     else:
         record["stdout"] = stdout
+    if err.getvalue():
+        record["stderr"] = err.getvalue()
     return record
 
 

@@ -8,7 +8,6 @@ from quivrep.quiver import (
     cycle_walk,
     graph_family,
     parse_orientation,
-    reverse_at,
     toggle_mark,
     vertex_kinds,
 )
@@ -45,23 +44,13 @@ class QuiverBasics(unittest.TestCase):
         self.assertEqual(vertex_kinds(q)["2"], "isolated")
 
 
-def test_reverse_at_sink_flips_and_marks():
-    q = qr.kronecker_quiver()
-    rev = reverse_at(q, "2", "sink")
-    assert [(a.name, a.src, a.dst) for a in rev.arrows] == [("a~", "2", "1"), ("b~", "2", "1")]
-    back = reverse_at(rev, "2", "source")
-    assert [(a.name, a.src, a.dst) for a in back.arrows] == [("a", "1", "2"), ("b", "1", "2")]
-
-
-def test_reverse_at_requires_matching_kind():
-    q = qr.kronecker_quiver()
-    with pytest.raises(qr.PreconditionError):
-        reverse_at(q, "1", "sink")
-    with pytest.raises(qr.PreconditionError):
-        reverse_at(q, "2", "source")
-    loop = qr.jordan_quiver()
-    with pytest.raises(qr.PreconditionError):
-        reverse_at(loop, loop.vertices[0], "sink")
+@pytest.mark.parametrize("vertices, arrows", [
+    (["1", 2], []),
+    (["1", "2"], [(0, "1", "2")]),
+])
+def test_new_quiver_rejects_labels_that_are_not_strings(vertices, arrows):
+    with pytest.raises(ValueError, match="must be strings"):
+        qr.new_quiver(vertices, arrows)
 
 
 def test_toggle_mark_round_trips():

@@ -35,6 +35,48 @@ def test_reflect_sink_rejects_non_sink():
         qr.reflect_source(r, "2")
 
 
+def test_reflect_sink_reverses_and_marks_only_the_arrows_into_the_sink():
+    q = qr.an_quiver(4, "><>")  # e1: 1 -> 2, e2: 3 -> 2, e3: 3 -> 4
+    r = qr.new_rep(q, {"1": 1, "2": 1, "3": 1, "4": 1}, {"e1": [[1.0]], "e2": [[2.0]], "e3": [[3.0]]})
+    plus = qr.reflect_sink(r, "2").rep
+    assert [(a.name, a.src, a.dst) for a in plus.quiver.arrows] == [
+        ("e1~", "2", "1"), ("e2~", "2", "3"), ("e3", "3", "4")]
+    assert np.array_equal(plus.mat("e3"), [[3.0]])
+    back = qr.reflect_source(plus, "2").rep
+    assert [(a.name, a.src, a.dst) for a in back.quiver.arrows] == [
+        (a.name, a.src, a.dst) for a in q.arrows]
+
+
+def test_reflection_rejects_a_loop_vertex():
+    r = qr.new_rep(qr.jordan_quiver(), {"1": 1}, {"a": [[1.0]]})
+    with pytest.raises(qr.PreconditionError):
+        qr.reflect_sink(r, "1")
+    with pytest.raises(qr.PreconditionError):
+        qr.reflect_source(r, "1")
+
+
+def test_reflect_sink_rejects_a_marked_name_already_taken():
+    q = qr.new_quiver(["1", "2", "3"], [("a", "1", "2"), ("a~", "3", "1")])
+    r = qr.new_rep(q, {"1": 1, "2": 1, "3": 1}, {"a": [[0.0]], "a~": [[2.0]]})
+    with pytest.raises(ValueError, match="duplicate arrow name 'a~'"):
+        qr.reflect_sink(r, "2")
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: qr.reflect_sink(r, "9"),
+    lambda r: qr.reflect_source(r, "9"),
+    lambda r: qr.is_full_at_sink(r, "9"),
+    lambda r: qr.is_co_full_at_source(r, "9"),
+    lambda r: qr.verify_end_isomorphism(r, "9", "plus"),
+], ids=["reflect_sink", "reflect_source", "is_full_at_sink", "is_co_full_at_source",
+        "verify_end_isomorphism"])
+def test_unknown_vertex_is_a_value_error_that_names_it(call):
+    r = qr.new_rep(qr.kronecker_quiver(), {"1": 1, "2": 1}, {"a": [[1.0]], "b": [[0.0]]})
+    with pytest.raises(ValueError, match="no vertex '9'") as excinfo:
+        call(r)
+    assert excinfo.type is ValueError
+
+
 def test_reflected_dimension_at_sink(rng):
     q = qr.kronecker_quiver()
     r = random_rep(q, {"1": 3, "2": 2}, rng)
@@ -270,34 +312,21 @@ def test_minus_of_simple_at_source_vanishes():
 # ------------------------------------------------------ orientation walks
 
 
-def _replay(n, seq, target):
-    """Independent simulation: True iff seq realizes target by source flips."""
-    state = [True] * (n - 1)  # True = rightward arrow i: i -> i+1
-    for v in seq:
-        if v == n:
-            return False
-        left_ok = v == 1 or not state[v - 2]
-        right_ok = state[v - 1]
-        if not (left_ok and right_ok):
-            return False  # not a source at its step
-        if v > 1:
-            state[v - 2] = True
-        state[v - 1] = False
-    return state == list(target)
-
-
 def test_orientation_sequence_identity_is_empty():
     assert orientation_sequence_an(4, ">>>") == []
 
 
 def test_orientation_sequence_single_flip():
-    assert orientation_sequence_an(2, "<") == [1]
+    assert orientation_sequence_an(2, "<") == ["1"]
 
 
 def test_orientation_sequences_exhaustive():
     for n in range(2, 6):
         for bits in range(2 ** (n - 1)):
             target = [(bits >> i) & 1 == 1 for i in range(n - 1)]
-            seq = orientation_sequence_an(n, target)
-            assert all(v != n for v in seq)
-            assert _replay(n, seq, target), f"replay failed for n={n} target={target}"
+            r = qr.zero_rep(qr.an_quiver(n))
+            for v in orientation_sequence_an(n, target):
+                assert v != str(n)
+                r = qr.reflect_source(r, v).rep  # PreconditionError unless v is a source now
+            want = qr.an_quiver(n, target)
+            assert [(a.src, a.dst) for a in r.quiver.arrows] == [(a.src, a.dst) for a in want.arrows]

@@ -202,3 +202,9 @@ def test_a_nan_residual_ratio_counts_as_infinite():
     assert qr.make_hom(r, r, {"1": 10 * np.eye(1), "2": np.zeros((2, 2))}).residual == np.inf
     # 0 / inf stays 0: the scalars intertwine exactly
     assert qr.make_hom(r, r, {"1": np.eye(1), "2": np.eye(2)}).residual == 0.0
+
+
+def test_make_hom_rejects_a_block_for_a_vertex_it_lacks():
+    r = qr.new_rep(qr.kronecker_quiver(), {"1": 1, "2": 1}, {"a": [[1.0]], "b": [[0.0]]})
+    with pytest.raises(ValueError, match="unknown vertices"):
+        qr.make_hom(r, r, {"1": np.eye(1), "3": np.eye(1)})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -354,7 +355,14 @@ def run(argv=None) -> int:
         return 3
     finally:
         TOL.reset(token)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so the flush
+        # at interpreter shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the report was written", file=sys.stderr)
+        return 2
     return code
 
 

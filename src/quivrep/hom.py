@@ -207,8 +207,9 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     rows K_j* of block j stay.  An isometric or injective g (L = g, R = 1) and
     arms that fill their head (L = 1, R = [f_1 ... f_k]) are such pivots.
     Roots are tried largest block first, then fewest row blocks, then in quiver
-    order, until none qualifies.  What is left is assembled and factored once,
-    with the cutoff relative to the full system's shape and, after a pivot, to
+    order, until none qualifies.  What is left is assembled and factored by
+    `linalg.nullspace_with_values`, one block of its nonzero pattern at a time,
+    with one cutoff relative to the full system's shape and, after a pivot, to
     at least its largest entry; the nullspace is lifted back through the pivots
     and re-orthonormalized.  With no pivot it is the plain Kronecker system.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import CLUSTER_GAP, SVD_FACTOR, TOL
+from .config import CLUSTER_GAP, SPLIT_MIN_COLS, SVD_FACTOR, TOL
 
 
 def read_only(a) -> np.ndarray:
@@ -20,14 +20,18 @@ def read_only(a) -> np.ndarray:
 
 
 def phase_normalize(columns: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry (the first, on a tie) is real positive.
+
+    A zero column stays as it is.
+    """
     out = np.array(columns, dtype=complex, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        z = col[k]
-        if abs(z) > 0:
-            out[:, j] = col * (np.conj(z) / abs(z))
+    if out.size == 0:
+        return out
+    size = np.abs(out)
+    at = (size.argmax(axis=0), np.arange(out.shape[1]))
+    top, size = out[at], size[at]
+    live = size > 0
+    out *= np.where(live, top.conj(), 1) / np.where(live, size, 1)
     return out
 
 
@@ -66,20 +70,76 @@ def matrix_rank(a) -> int:
     return int(np.sum(s > svd_cutoff(s, a.shape)))
 
 
+def _blocks(a: np.ndarray):
+    """(rows, columns) of each connected component of the exact nonzero pattern of `a`.
+
+    Two columns are joined when some row is nonzero in both; a row lies in
+    the block of its columns, a zero column is a block with no rows, and
+    blocks come in order of their smallest column.  None when the search
+    cannot pay: fewer than SPLIT_MIN_COLS columns, a row with no zero entry
+    (it joins every column), or a single block.
+    """
+    n = a.shape[1]
+    if n < SPLIT_MIN_COLS:
+        return None
+    nonzero = a != 0
+    if nonzero.all(axis=1).any():
+        return None
+    r, c = np.nonzero(nonzero)  # row-major: the nonzero columns of a row are consecutive
+    same = r[1:] == r[:-1]
+    edges = np.unique(c[:-1][same] * n + c[1:][same])  # rows of one pattern give one edge set
+    columns = connected_components(n, zip((edges // n).tolist(), (edges % n).tolist()))
+    if len(columns) == 1:
+        return None
+    label = np.empty(n, dtype=int)
+    for i, b in enumerate(columns):
+        label[b] = i
+    rows = [[] for _ in columns]
+    first = np.flatnonzero(np.concatenate([[True], ~same]))  # each nonzero row's first entry
+    for i, b in zip(r[first].tolist(), label[c[first]].tolist()):
+        rows[b].append(i)
+    return list(zip(rows, columns))
+
+
 def nullspace_with_values(a, scale: float = 0.0, shape=None) -> tuple[np.ndarray, float, np.ndarray]:
     """(singular values, cutoff, orthonormal nullspace columns) from one factorization.
 
     The cutoff is `svd_cutoff(s, shape, scale)`, `shape` defaulting to the
     shape of `a`; a system reduced from a larger one passes that system's
-    shape and a lower bound on its norm.
+    shape and a lower bound on its norm.  A system that a permutation makes
+    block-diagonal (End of a direct sum) is factored one block at a time,
+    blocks of one shape in one stacked SVD, at cost sum n_i^3 for n^3: the
+    singular values, padded with zeros, are the same multiset, so the rank
+    is too.  Its null vectors come block by block (see `_blocks`).
     """
-    a = np.asarray(a, dtype=complex)
+    a = real_if_exact(np.asarray(a, dtype=complex))
     rows, cols = a.shape
-    # a tall system needs only the thin U; Vh is complete either way
-    _, s, vh = np.linalg.svd(real_if_exact(a), full_matrices=rows < cols)
-    cutoff = svd_cutoff(s, a.shape if shape is None else shape, scale)
-    rank = int(np.sum(s > cutoff))
-    return s, cutoff, phase_normalize(vh[rank:].conj().T)
+    shape = a.shape if shape is None else shape
+    blocks = _blocks(a)
+    if blocks is None:
+        # a tall system needs only the thin U; Vh is complete either way
+        _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
+        cutoff = svd_cutoff(s, shape, scale)
+        return s, cutoff, phase_normalize(vh[int(np.sum(s > cutoff)):].conj().T)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, (r, c) in enumerate(blocks):
+        by_shape.setdefault((len(r), len(c)), []).append(i)
+    factors = [None] * len(blocks)  # (singular values, complete Vh) of each block
+    for (m, n), members in by_shape.items():
+        r, c = (np.array([blocks[i][k] for i in members], dtype=int) for k in (0, 1))
+        _, s_stack, vh_stack = np.linalg.svd(a[r[:, :, None], c[:, None, :]], full_matrices=m < n)
+        for i, s_i, vh_i in zip(members, s_stack, vh_stack):
+            factors[i] = (s_i, vh_i)
+    values = np.concatenate([s_i for s_i, _ in factors])
+    s = np.sort(np.concatenate([values, np.zeros(min(rows, cols) - len(values))]))[::-1]
+    cutoff = svd_cutoff(s, shape, scale)
+    null = [vh_i[int(np.sum(s_i > cutoff)):].conj().T for s_i, vh_i in factors]
+    vectors = np.zeros((cols, sum(v.shape[1] for v in null)), dtype=a.dtype)
+    at = 0
+    for (_, c), v in zip(blocks, null):
+        vectors[c, at : at + v.shape[1]] = v
+        at += v.shape[1]
+    return s, cutoff, phase_normalize(vectors)
 
 
 def nullspace(a) -> np.ndarray:

@@ -1,6 +1,9 @@
 """In-process tests of the command-line interface: exit codes and report shape."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -447,3 +450,14 @@ def test_tol_reaches_the_cycle_criterion(rep_file, capsys):
     assert report["tol"] == 1e-3
     assert report["criterion"] is False and report["agree"] is False
     assert TOL.get() == 1e-9
+
+
+def test_a_closed_stdout_is_a_usage_error_without_a_traceback():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "quivrep", "verify", "--suite", "all", "--seed", "7", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()  # the reader leaves before the report is written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err.splitlines() == ["error: standard output was closed before the report was written"]

@@ -16,7 +16,7 @@ import pytest
 
 from quivrep import builders, linalg, new_quiver, new_rep
 from quivrep.config import SVD_FACTOR
-from quivrep.hom import end_basis, hom_basis
+from quivrep.hom import end_basis, hom_basis, is_indecomposable
 from quivrep.opmodels import (
     OperatorPair,
     four_subspace_from_pair,
@@ -26,7 +26,7 @@ from quivrep.opmodels import (
     subspace_system_end,
     subspace_system_rep,
 )
-from quivrep.rep import direct_sum
+from quivrep.rep import direct_sum, idempotent_defects
 from conftest import random_rep
 
 
@@ -223,6 +223,49 @@ def test_complement_form_matches_projector_stack(kind):
 def test_e8tilde_end_factors_only_the_center():
     eb = end_basis(builders.build_extended_dynkin("e8tilde", jordan_block(2)))
     assert eb.system_shape[1] == 144  # 12^2 instead of 480
+
+
+def _factored_columns(monkeypatch):
+    """The column counts of the SVDs `hom_basis` takes to factor what the elimination leaves."""
+    widths, inside = [], []
+    factor, svd = linalg.nullspace_with_values, np.linalg.svd
+
+    def traced_factor(*args, **kwargs):
+        inside.append(True)
+        try:
+            return factor(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def traced_svd(a, *args, **kwargs):
+        if inside:
+            widths.append(np.shape(a)[-1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "nullspace_with_values", traced_factor)
+    monkeypatch.setattr(linalg.np.linalg, "svd", traced_svd)
+    return widths
+
+
+def test_a_direct_sum_is_factored_one_block_at_a_time(monkeypatch):
+    widths = _factored_columns(monkeypatch)
+    r = builders.build_extended_dynkin("e6tilde", np.diag([1.0, 2.0, 3.0, 4.0]))
+    eb = end_basis(r)
+    # the 144 unknowns fall into 16 blocks of 9 (one 9 x 9 block per pair of eigenvalues)
+    assert widths and max(widths) <= 9
+    assert eb.system_shape == (144, 144) and eb.dim == 4
+    assert [(p.vertex, p.arrows) for p in eb.pivots] == [
+        ("1", ("a1",)), ("1'", ("a1'",)), ("1''", ("a1''",)), ("2", ("a2",)), ("2'", ("a2'",)), ("2''", ("a2''",))]
+    verdict = is_indecomposable(r)
+    assert verdict.kind == "decomposable"
+    sq_defect, id_defect = idempotent_defects(verdict.witness)
+    assert sq_defect <= 1e-8 and verdict.witness.residual <= 1e-8 and id_defect > 1e-8
+
+
+def test_a_single_jordan_block_is_factored_whole(monkeypatch):
+    widths = _factored_columns(monkeypatch)
+    eb = end_basis(builders.build_extended_dynkin("e6tilde", jordan_block(4, 0.5)))
+    assert widths == [144] and eb.system_shape == (144, 144) and eb.dim == 4
 
 
 def test_four_subspace_system_is_square():

@@ -52,6 +52,8 @@ COMMANDS = {
     "build-e6tilde-file": ["build", "--family", "e6tilde", "--op", "file:inputs/op.txt", "--format", "json"],
     "build-e7tilde-text": ["build", "--family", "e7tilde", "--op", "jordan:2:0.5"],
     "build-e8tilde-json": ["build", "--family", "e8tilde", "--op", "jordan:2", "--format", "json"],
+    # a diagonal operator: the reduced End system splits into 9 blocks of 16 columns
+    "build-e7tilde-diag3": ["build", "--family", "e7tilde", "--op", "file:inputs/op-diag3.txt", "--format", "json"],
     "build-antilde": ["build", "--family", "antilde", "--op", "jordan:2", "--format", "json"],
     "cycle-json": ["cycle", "inputs/cycle.txt", "--format", "json"],
     "opmodel-shift-rank-one": ["opmodel", "--pair", "shift-rank-one", "--lambda", "seq:reciprocal",

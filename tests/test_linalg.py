@@ -105,3 +105,120 @@ def test_the_package_has_one_rank_cutoff():
     pattern = re.compile(r"\b(?:np|numpy)\.linalg\.matrix_rank\b|from\s+numpy\.linalg\s+import[^\n]*\bmatrix_rank\b")
     offenders = [p.name for p in sorted(src.glob("*.py")) if pattern.search(p.read_text())]
     assert offenders == []
+
+
+def _phase_normalize_loop(columns):
+    out = np.array(columns, dtype=complex, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        k = int(np.argmax(np.abs(col)))
+        z = col[k]
+        if abs(z) > 0:
+            out[:, j] = col * (np.conj(z) / abs(z))
+    return out
+
+
+def test_phase_normalize_matches_the_column_loop():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        m, k = (int(x) for x in rng.integers(1, 12, size=2))
+        x = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        if trial % 4 == 0:
+            x = x.real  # real input: a negative largest entry flips the column
+        zero = rng.random(k) < 0.3
+        x[:, zero] = 0
+        if not zero[0]:
+            x[:, 0] = rng.choice([0.5, -0.5, 0.5j, -0.5j][: 2 if trial % 4 == 0 else 4], size=m)  # a tie
+        got = linalg.phase_normalize(x)
+        want = _phase_normalize_loop(x)
+        assert got.dtype == complex and got.shape == x.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 4 * np.finfo(float).eps * np.max(np.abs(x), initial=0.0)
+        assert np.array_equal(got[:, zero], want[:, zero])
+        if not zero[0]:
+            assert got[0, 0].imag == 0 and got[0, 0].real > 0
+    assert linalg.phase_normalize(np.zeros((0, 3))).shape == (0, 3)
+    assert linalg.phase_normalize(np.zeros((4, 0))).shape == (4, 0)
+
+
+SPLIT_SCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+
+
+def _orthonormal(rng, d, complex_):
+    g = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if complex_ else 0)
+    return np.linalg.qr(g)[0]
+
+
+def _permuted_block_diagonal(rng):
+    """A matrix that a row and a column permutation make block-diagonal, and its exact kernel.
+
+    Each block is scale * U diag(sigma) V^T with orthonormal U, V, sigma in
+    [1, 10] and rank at most min(rows, cols): tall, wide and square blocks,
+    one block with no rows, and zero rows besides.  The scales are powers of
+    1e4, so no exact singular value comes near the cutoff.
+    """
+    count = int(rng.integers(2, 9))
+    width = -(-linalg.SPLIT_MIN_COLS // count)
+    kinds = rng.permutation(["no rows", "tall", "wide"] + ["square"] * (count - 3))[:count]
+    complex_ = bool(rng.integers(2))
+    blocks = []
+    for kind in kinds:
+        n = width + int(rng.integers(0, 6))
+        m = {"no rows": 0, "tall": n + 3, "wide": max(n - 3, 1), "square": n}[kind]
+        rank = int(rng.integers(1, min(m, n) + 1)) if m else 0
+        scale = float(rng.choice(SPLIT_SCALES))
+        u, v = _orthonormal(rng, m, complex_), _orthonormal(rng, n, complex_)
+        sigma = np.sort(scale * rng.uniform(1, 10, size=rank))[::-1]
+        blocks.append((u[:, :rank] @ np.diag(sigma) @ v[:, :rank].conj().T, v, sigma))
+    extra = int(rng.integers(0, 4))
+    rows, cols = sum(b.shape[0] for b, _, _ in blocks) + extra, sum(b.shape[1] for b, _, _ in blocks)
+    a = np.zeros((rows, cols), dtype=complex if complex_ else float)
+    r0 = c0 = 0
+    for b, _, _ in blocks:
+        a[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    row_perm, col_perm = rng.permutation(rows), rng.permutation(cols)
+    top = max((s.max() for _, _, s in blocks if len(s)), default=0.0)
+    cutoff = top * max(rows, cols) * 2.0**-40
+    kernel, c0 = [], 0
+    for b, v, sigma in blocks:
+        assert not np.any((sigma > cutoff / 4) & (sigma < cutoff * 4))
+        kept = int(np.sum(sigma > cutoff))
+        basis = np.zeros((cols, b.shape[1] - kept), dtype=complex)
+        basis[c0 : c0 + b.shape[1]] = v[:, kept:]
+        kernel.append(basis)
+        c0 += b.shape[1]
+    kernel = np.hstack(kernel)[col_perm]
+    return a[row_perm][:, col_perm], kernel
+
+
+def test_a_split_system_factors_like_one_dense_svd():
+    rng = np.random.default_rng(34)
+    eps = np.finfo(float).eps
+    for _ in range(30):
+        a, kernel = _permuted_block_diagonal(rng)
+        assert linalg._blocks(a) is not None
+        s, cutoff, vectors = linalg.nullspace_with_values(a)
+        dense = np.linalg.svd(a, compute_uv=False)
+        assert s.shape == dense.shape and np.all(np.diff(s) <= 0)
+        assert np.max(np.abs(s - dense), initial=0.0) <= 64 * eps * dense[0]
+        assert cutoff == linalg.svd_cutoff(s, a.shape)
+        assert vectors.shape[1] == int(np.sum(dense <= cutoff)) + a.shape[1] - len(dense) == kernel.shape[1]
+        assert np.allclose(vectors.conj().T @ vectors, np.eye(vectors.shape[1]), rtol=0, atol=1e-12)
+        # the exact kernel, not the dense SVD's: that one moves by eps sigma_max / gap, up to 1e-7 here
+        assert np.linalg.norm(vectors @ vectors.conj().T - kernel @ kernel.conj().T, 2) <= 1e-10
+        again = linalg.nullspace_with_values(a)
+        assert again[0].tobytes() == s.tobytes() and again[2].tobytes() == vectors.tobytes()
+
+
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+def test_a_system_that_does_not_split_is_factored_as_it_stands(banded):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((70, 80)) + 1j * rng.standard_normal((70, 80))
+    if banded:  # zeros in every row, yet one block
+        a = np.triu(np.tril(a, 11), -1)
+    a[:, 3] = a[:, 7]  # a nullspace of more than the wide part
+    s, cutoff, vectors = linalg.nullspace_with_values(a)
+    _, s_plain, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s_plain > cutoff))
+    assert s.tobytes() == s_plain.tobytes()
+    assert vectors.tobytes() == linalg.phase_normalize(vh[rank:].conj().T).tobytes()

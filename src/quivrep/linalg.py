@@ -76,8 +76,8 @@ def _blocks(a: np.ndarray):
     Two columns are joined when some row is nonzero in both; a row lies in
     the block of its columns, a zero column is a block with no rows, and
     blocks come in order of their smallest column.  None when the search
-    cannot pay: fewer than SPLIT_MIN_COLS columns, a row with no zero entry
-    (it joins every column), or a single block.
+    cannot pay: fewer than SPLIT_MIN_COLS columns, no nonzero entry, a row
+    with no zero entry (it joins every column), or a single block.
     """
     n = a.shape[1]
     if n < SPLIT_MIN_COLS:
@@ -85,10 +85,12 @@ def _blocks(a: np.ndarray):
     nonzero = a != 0
     if nonzero.all(axis=1).any():
         return None
-    r, c = np.nonzero(nonzero)  # row-major: the nonzero columns of a row are consecutive
+    r, c = np.divmod(np.flatnonzero(nonzero), n)  # row-major: the nonzero columns of a row are consecutive
+    if r.size == 0:
+        return None
     same = r[1:] == r[:-1]
-    edges = np.unique(c[:-1][same] * n + c[1:][same])  # rows of one pattern give one edge set
-    columns = connected_components(n, zip((edges // n).tolist(), (edges % n).tolist()))
+    edges = np.divmod(np.unique(c[:-1][same] * n + c[1:][same]), n)  # rows of one pattern give one edge set
+    columns = connected_components(n, zip(edges[0].tolist(), edges[1].tolist()))
     if len(columns) == 1:
         return None
     label = np.empty(n, dtype=int)
@@ -204,7 +206,8 @@ def connected_components(n: int, edges) -> list[list[int]]:
 
     groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        parent[i] = parent[parent[i]]  # parent[i] <= i, so the root of parent[i] is already in place
+        groups.setdefault(parent[i], []).append(i)
     return list(groups.values())
 
 

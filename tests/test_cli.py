@@ -81,6 +81,14 @@ def test_analyze_json(rep_file, capsys):
     assert report["max_residual"] <= 1e-8
 
 
+def test_analyze_a_zero_arrow_between_dimension_8_spaces(rep_file, capsys):
+    zero = "[" + "; ".join(["[" + ", ".join(["0"] * 8) + "]"] * 8) + "]"
+    text = f"quiver A2\nvertex 1\nvertex 2\narrow a: 1 -> 2\ndim 1 = 8\ndim 2 = 8\nmat a = {zero}\n"
+    code, report = run_json(capsys, ["analyze", rep_file(text)])
+    assert code == 0
+    assert report["end_dim"] == 128 and report["verdict"] == "decomposable"
+
+
 def test_analyze_decomposable_emits_witness(rep_file, capsys):
     text = KRONECKER_REP.replace("mat b = [[0, 0]; [1, 0]]", "mat b = [[1, 0]; [0, 2]]")
     code, report = run_json(capsys, ["analyze", rep_file(text)])

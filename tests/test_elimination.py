@@ -268,6 +268,19 @@ def test_a_single_jordan_block_is_factored_whole(monkeypatch):
     assert widths == [144] and eb.system_shape == (144, 144) and eb.dim == 4
 
 
+@pytest.mark.parametrize("arrow, dim", [(None, 64), (np.eye(8), 64), (np.zeros((8, 8)), 128)],
+                         ids=["one vertex", "identity arrow", "zero arrow"])
+def test_a_system_with_no_nonzero_entry_is_factored_whole(arrow, dim):
+    # one vertex of dimension 8 leaves 64 columns and no rows, and so does an identity
+    # arrow once its pivot has determined the head block; a zero arrow leaves zero rows
+    if arrow is None:
+        r = new_rep(new_quiver(["1"], []), {"1": 8})
+    else:
+        r = new_rep(new_quiver(["1", "2"], [("a", "1", "2")]), {"1": 8, "2": 8}, {"a": arrow})
+    eb = end_basis(r)
+    assert eb.dim == dim and eb.system_shape[1] >= linalg.SPLIT_MIN_COLS
+
+
 def test_four_subspace_system_is_square():
     pair = kron_pair_shift_rank_one("seq:reciprocal", "seq:one-minus-pow:2", 6)
     # E1 and E2 determine the ambient C^12, E3 and E4 are eliminated through it,

@@ -210,6 +210,15 @@ def test_a_split_system_factors_like_one_dense_svd():
         assert again[0].tobytes() == s.tobytes() and again[2].tobytes() == vectors.tobytes()
 
 
+@pytest.mark.parametrize("rows", [0, 5])
+def test_a_system_with_no_nonzero_entry_has_every_column_in_its_kernel(rows):
+    a = np.zeros((rows, linalg.SPLIT_MIN_COLS))
+    s, cutoff, vectors = linalg.nullspace_with_values(a)
+    assert s.shape == (rows,) and not s.any() and cutoff == 0.0
+    assert vectors.shape == (a.shape[1], a.shape[1])
+    assert np.array_equal(vectors.conj().T @ vectors, np.eye(a.shape[1]))
+
+
 @pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
 def test_a_system_that_does_not_split_is_factored_as_it_stands(banded):
     rng = np.random.default_rng(5)

@@ -58,20 +58,30 @@ def subspace_inclusion_rep(
     return new_rep(quiver, dims, mats)
 
 
-def _block_injection(m: int, k: int, cols: list[dict[int, np.ndarray]]) -> np.ndarray:
-    """Injection into (C^k)^m from block-column descriptions {block_row: k x k}."""
-    j = np.zeros((m * k, len(cols) * k), dtype=complex)
-    for g, spec in enumerate(cols):
-        for row, blk in spec.items():
-            j[row * k : (row + 1) * k, g * k : (g + 1) * k] = blk
-    return linalg.qr_orthonormalize(j)
+def _block_injections(m: int, k: int, columns, blocks: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal injections into (C^k)^m, one per list of block columns {block_row: name in `blocks`}.
+
+    Injections of one shape are orthonormalized together, in one stacked QR.
+    """
+    out, by_shape = [], {}
+    for cols in columns:
+        j = np.zeros((m * k, len(cols) * k), dtype=complex)
+        for g, spec in enumerate(cols):
+            for row, name in spec.items():
+                j[row * k : (row + 1) * k, g * k : (g + 1) * k] = blocks[name]
+        by_shape.setdefault(j.shape, []).append(len(out))
+        out.append(j)
+    for at in by_shape.values():
+        for i, q in zip(at, linalg.qr_orthonormalize([out[i] for i in at])):
+            out[i] = q
+    return out
 
 
 def _validate_operator(s) -> tuple[np.ndarray, int]:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
         raise ValueError(f"the operator must be square and nonzero-sized, got shape {s.shape}")
-    if not (np.all(np.isfinite(s.real)) and np.all(np.isfinite(s.imag))):
+    if not np.isfinite(s).all():
         raise ValueError("the operator has non-finite entries")
     return s, s.shape[0]
 
@@ -137,9 +147,7 @@ def build_extended_dynkin(family: str, s) -> Rep:
                   for mark, length in zip(("", "'", "''"), arms) for i in range(1, length + 1)]
     else:
         raise ValueError(f"unknown family {family!r}; expected d<n>tilde, e6tilde, e7tilde or e8tilde")
-    blocks = {"I": np.eye(k, dtype=complex), "S": s}
-    injections = [_block_injection(m, k, [{r: blocks[b] for r, b in col.items()} for col in cols])
-                  for cols in columns.values()]
+    injections = _block_injections(m, k, columns.values(), {"I": np.eye(k, dtype=complex), "S": s})
     system = SubspaceSystem(m * k, injections, tuple(columns))
     quiver = new_quiver(list(columns), arrows, name=name)
     return subspace_inclusion_rep(system, quiver, {v: v for v in columns})

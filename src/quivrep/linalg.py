@@ -158,17 +158,24 @@ def orth(a) -> np.ndarray:
 
 
 def qr_orthonormalize(a) -> np.ndarray:
-    """Orthonormalize the columns of a full-column-rank matrix (plain QR, no pivoting)."""
+    """Orthonormalize the columns of a full-column-rank matrix (plain QR, no pivoting).
+
+    `a` may be a stack of such matrices; each is orthonormalized on its own,
+    in one call of `np.linalg.qr`.
+    """
     a = np.asarray(a, dtype=complex)
-    if a.shape[1] == 0:
+    if a.shape[-1] == 0:
         return a.copy()
     q, r = np.linalg.qr(a)
-    d = np.abs(np.diagonal(r))
-    if np.min(d) <= np.max(d) * TOL.get():
-        raise ValueError(
-            f"columns are numerically dependent (diagonal ratio {np.min(d) / max(np.max(d), 1e-300):.2e})"
-        )
-    return phase_normalize(q)
+    d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    low, high = d.min(axis=-1), d.max(axis=-1)
+    bad = np.flatnonzero(low <= high * TOL.get())
+    if bad.size:
+        ratio = low.flat[bad[0]] / max(high.flat[bad[0]], 1e-300)
+        raise ValueError(f"columns are numerically dependent (diagonal ratio {ratio:.2e})")
+    # phase_normalize works column by column: normalize the stack as one wide matrix
+    rows = np.moveaxis(q, -2, 0)
+    return np.moveaxis(phase_normalize(rows.reshape(len(rows), -1)).reshape(rows.shape), 0, -2)
 
 
 def is_invertible(a) -> bool:

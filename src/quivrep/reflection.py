@@ -7,6 +7,11 @@ it through duality, backward = dual ∘ forward ∘ dual: the dual turns the
 source into a sink and the combined departure map into the adjoint arrival
 map, so H_v becomes the orthogonal complement of the image of the departure
 map.  Both carry homs along via the stored kernel basis.
+
+A reflection depends on the representation alone, whose matrices are
+read-only, so each is made once per `Rep` object and kept on it, as End is:
+asking again for the same vertex and direction returns the same
+`ReflectionResult`, which is frozen and holds a read-only kernel basis.
 """
 
 from __future__ import annotations
@@ -22,8 +27,12 @@ from .hom import end_basis
 from .quiver import new_quiver, opposite, parse_orientation, toggle_mark
 from .rep import Hom, Rep, hom_residual, make_hom, new_rep
 
+# verify_end_isomorphism checks multiplicativity for a batch of basis elements
+# B_i at once, against every B_j; a batch's stacks hold about this many entries.
+MULT_BATCH_ENTRIES = 1 << 16
 
-@dataclass
+
+@dataclass(frozen=True)
 class ReflectionResult:
     """A reflected representation plus the data needed to transport homs."""
 
@@ -31,7 +40,7 @@ class ReflectionResult:
     source_rep: Rep
     vertex: str
     direction: str  # "sink" (forward) or "source" (backward)
-    kernel_basis: np.ndarray  # orthonormal columns in the stacked block space
+    kernel_basis: np.ndarray  # read-only orthonormal columns in the stacked block space
     block_vertices: tuple[str, ...]  # stacked block, one entry per arrow at the vertex
     block_offsets: tuple[int, ...]
 
@@ -69,12 +78,27 @@ def _stacked_blocks(r: Rep, arrows):
     return verts, tuple(offsets)
 
 
+def _kept(r: Rep, v: str, direction: str, reflect) -> ReflectionResult:
+    """r's reflection at v in `direction`, made by `reflect(r, v)` on the first call only.
+
+    A call that raises keeps nothing, so it raises again when repeated.
+    """
+    key = (v, direction)
+    if key not in r._reflections:
+        r._reflections[key] = reflect(r, v)
+    return r._reflections[key]
+
+
 def reflect_sink(r: Rep, v: str) -> ReflectionResult:
     """Forward reflection at a sink: the arrows into v are reversed and marked."""
+    return _kept(r, v, "sink", _reflect_sink)
+
+
+def _reflect_sink(r: Rep, v: str) -> ReflectionResult:
     q = r.quiver
     arrows, h = _arrival_map(r, v)
     verts, offsets = _stacked_blocks(r, arrows)
-    kernel = linalg.nullspace(h)  # total x k
+    kernel = linalg.read_only(linalg.nullspace(h))  # total x k
 
     dims = dict(r.dims)
     dims[v] = kernel.shape[1]
@@ -95,8 +119,12 @@ def reflect_source(r: Rep, v: str) -> ReflectionResult:
     The kernel basis and the block layout are those of the forward reflection
     of the dual, which live in the same stacked space of the targets.
     """
+    return _kept(r, v, "source", _reflect_source)
+
+
+def _reflect_source(r: Rep, v: str) -> ReflectionResult:
     _require_source(r, v)
-    res = reflect_sink(dual(r), v)
+    res = _reflect_sink(dual(r), v)
     return ReflectionResult(
         dual(res.rep), r, v, "source", res.kernel_basis, res.block_vertices, res.block_offsets
     )
@@ -205,13 +233,16 @@ def verify_end_isomorphism(r: Rep, v: str, direction: str) -> EndIsoReport:
     images[v] = _carried_block(res, res, eb.blocks, (m,))
     memb = hom_residual(res.rep, res.rep, images)
 
-    # One (m, k, k) stack per i, over all j: all pairs at once would hold
-    # m^2 k^2 entries, about 4 d^6 for End(r) = M_d.
+    # A (batch, m, k, k) stack per batch of i, over all j: all pairs at once
+    # would hold m^2 k^2 entries, about 4 d^6 for End(r) = M_d.
+    arms = set(res.block_vertices)
+    per_i = m * max([res.rep.dims[v]] + [r.dims[u] for u in arms]) ** 2
+    step = max(1, MULT_BATCH_ENTRIES // max(per_i, 1))
     mult = 0.0
-    for i in range(m):
-        products = {u: eb.blocks[u][i] @ eb.blocks[u] for u in set(res.block_vertices)}
-        composed = _carried_block(res, res, products, (m,))  # images of B_i B_j
-        direct = images[v][i] @ images[v]  # image of B_i times images of B_j
+    for i in range(0, m, step):
+        products = {u: eb.blocks[u][i : i + step, None] @ eb.blocks[u] for u in arms}
+        composed = _carried_block(res, res, products, (min(step, m - i), m))  # images of B_i B_j
+        direct = images[v][i : i + step, None] @ images[v]  # image of B_i times images of B_j
         mult = max(mult, float(np.max(np.linalg.norm(composed - direct, axis=(-2, -1)))))
 
     flat = np.hstack([images[u].reshape(m, res.rep.dims[u] ** 2) for u in res.rep.quiver.vertices])

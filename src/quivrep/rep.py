@@ -20,6 +20,7 @@ from .quiver import Quiver
 
 if TYPE_CHECKING:
     from .hom import HomBasis
+    from .reflection import ReflectionResult
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,10 @@ class Rep:
     mats: dict[str, np.ndarray]
     # End of this representation, kept by `hom.end_basis` (its only writer)
     _end: HomBasis | None = field(default=None, init=False, repr=False, compare=False)
+    # reflections of this representation by (vertex, "sink" | "source"), kept by
+    # `reflection.reflect_sink` / `reflect_source` (their only writers)
+    _reflections: dict[tuple[str, str], ReflectionResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def dim(self, v: str) -> int:
         return self.dims[v]
@@ -51,7 +56,8 @@ class Rep:
         return self.total_dim == 0
 
     def __reduce__(self):
-        # copies and pickles are rebuilt by new_rep: read-only matrices, End not yet solved
+        # copies and pickles are rebuilt by new_rep: read-only matrices, End not yet
+        # solved, no reflection kept
         return new_rep, (self.quiver, self.dims, self.mats)
 
 
@@ -92,7 +98,7 @@ def new_rep(q: Quiver, dims, mats=None) -> Rep:
             raise ValueError(
                 f"arrow {a.name!r}: matrix shape {m.shape} != (dim {a.dst!r}, dim {a.src!r}) = {(rows, cols)}"
             )
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+        if not np.isfinite(m).all():
             raise ValueError(f"arrow {a.name!r}: matrix has non-finite entries")
         out[a.name] = m
     return Rep(q, full_dims, {name: linalg.read_only(m) for name, m in out.items()})

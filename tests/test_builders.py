@@ -11,6 +11,8 @@ from quivrep import (
     commutant_basis,
     subspace_inclusion_rep,
 )
+from quivrep import linalg
+from quivrep.builders import _block_injections
 from quivrep.errors import PreconditionError
 from quivrep.hom import end_basis, is_indecomposable
 from quivrep.opmodels import jordan_block
@@ -229,6 +231,20 @@ def test_random_conjugate_operator_keeps_end_dim():
         a = end_basis(build_extended_dynkin(family, s))
         b = end_basis(build_extended_dynkin(family, conj))
         assert a.dim == b.dim == k
+
+
+def test_block_injections_are_one_qr_each():
+    # injections of one shape share one stacked QR; each comes out as its own QR would
+    k = 3
+    blocks = {"I": np.eye(k, dtype=complex), "S": jordan_block(k) + 2 * np.eye(k)}
+    columns = [[{0: "I"}, {2: "I"}], [{1: "I", 2: "S"}], [{2: "I"}, {0: "S"}],
+               [{0: "I"}, {1: "I", 2: "I"}], [{0: "I", 1: "I"}], [{1: "I"}]]
+    for cols, got in zip(columns, _block_injections(3, k, columns, blocks)):
+        j = np.zeros((3 * k, len(cols) * k), dtype=complex)
+        for g, spec in enumerate(cols):
+            for row, name in spec.items():
+                j[row * k : (row + 1) * k, g * k : (g + 1) * k] = blocks[name]
+        assert np.array_equal(got, linalg.qr_orthonormalize(j))
 
 
 if __name__ == "__main__":

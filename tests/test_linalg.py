@@ -231,3 +231,15 @@ def test_a_system_that_does_not_split_is_factored_as_it_stands(banded):
     rank = int(np.sum(s_plain > cutoff))
     assert s.tobytes() == s_plain.tobytes()
     assert vectors.tobytes() == linalg.phase_normalize(vh[rank:].conj().T).tobytes()
+
+
+def test_qr_orthonormalize_takes_a_stack_matrix_by_matrix():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
+    got = linalg.qr_orthonormalize(stack)
+    assert got.shape == stack.shape
+    for g, a in zip(got, stack):
+        assert np.array_equal(g, linalg.qr_orthonormalize(a))
+    stack[2, :, 2] = stack[2, :, 0]
+    with pytest.raises(ValueError, match="dependent"):
+        linalg.qr_orthonormalize(stack)

@@ -1,3 +1,9 @@
+import copy
+import dataclasses
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -259,6 +265,101 @@ def test_end_isomorphism_finds_a_product_defect(monkeypatch, rng, isolated):
         assert not report.hypothesis_ok and got == 0.0
     else:
         assert got > 1e-2 and not report.ok
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 7])
+def test_batched_multiplicativity_matches_the_pairwise_loop(monkeypatch, rng, step):
+    r = random_rep(qr.kronecker_quiver(), {"1": 2, "2": 3}, rng)
+    m = 7
+    blocks = {u: rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d)) for u, d in r.dims.items()}
+    fake = HomBasis(r, r, [qr.make_hom(r, r, {u: b[i] for u, b in blocks.items()}) for i in range(m)], blocks, 0.0)
+    real_end_basis, real_carried_block = reflection.end_basis, reflection._carried_block
+    calls = []
+
+    def carried_block(*args):
+        calls.append(args)
+        return real_carried_block(*args)
+
+    monkeypatch.setattr(reflection, "end_basis", lambda s: fake if s is r else real_end_basis(s))
+    monkeypatch.setattr(reflection, "_carried_block", carried_block)
+    # `step` basis elements per batch: m products of 2 x 2 blocks (vertex 1, the larger side) each
+    monkeypatch.setattr(reflection, "MULT_BATCH_ENTRIES", step * m * 4)
+    got = qr.verify_end_isomorphism(r, "2", "plus").max_multiplicativity_residual
+    assert len(calls) == 1 + -(-m // step)  # the images, then one call per batch
+    want = _reference_multiplicativity(qr.reflect_sink(r, "2"), fake)
+    assert got > 1e-2 and abs(got - want) <= 1e-12 * want
+
+
+def _two_sources(rng):
+    # e1: 1 -> 2, e2: 3 -> 2; the sink 2 and the sources 1 and 3
+    return random_rep(qr.an_quiver(3, "><"), {"1": 2, "2": 2, "3": 1}, rng)
+
+
+def test_a_reflection_is_made_once_per_rep(monkeypatch, rng):
+    r = _two_sources(rng)
+    made = []
+    real = reflection._reflect_source
+    monkeypatch.setattr(reflection, "_reflect_source", lambda s, v: made.append(v) or real(s, v))
+    plus, minus = qr.reflect_sink(r, "2"), qr.reflect_source(r, "1")
+    assert qr.reflect_sink(r, "2") is plus and qr.reflect_source(r, "1") is minus
+    assert r._reflections == {("2", "sink"): plus, ("1", "source"): minus}
+    # verify_end_isomorphism reuses the reflections the caller made
+    assert qr.verify_end_isomorphism(r, "2", "plus").ok
+    assert qr.verify_end_isomorphism(r, "1", "minus").ok
+    assert made == ["1"] and len(r._reflections) == 2
+    # a different vertex is a reflection of its own
+    assert qr.reflect_source(r, "3") is not minus and made == ["1", "3"]
+
+
+def test_a_failing_reflection_keeps_nothing_and_raises_again():
+    r = qr.new_rep(qr.kronecker_quiver(), {"1": 1, "2": 1}, {"a": [[1.0]], "b": [[1.0]]})
+    for _ in range(2):
+        with pytest.raises(qr.PreconditionError):
+            qr.reflect_sink(r, "1")
+        with pytest.raises(qr.PreconditionError):
+            qr.reflect_source(r, "2")
+        for reflect in (qr.reflect_sink, qr.reflect_source):
+            with pytest.raises(ValueError, match="no vertex '9'"):
+                reflect(r, "9")
+    assert r._reflections == {}
+
+
+def test_copies_of_a_rep_start_with_no_reflections(rng):
+    r = _two_sources(rng)
+    plus = qr.reflect_sink(r, "2")
+    for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert c._reflections == {}
+        again = qr.reflect_sink(c, "2")
+        assert again is not plus and np.array_equal(again.kernel_basis, plus.kernel_basis)
+
+
+def test_a_kept_reflection_is_read_only(rng):
+    r = _two_sources(rng)
+    for res in (qr.reflect_sink(r, "2"), qr.reflect_source(r, "1")):
+        with pytest.raises(ValueError):
+            res.kernel_basis[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.kernel_basis = np.zeros_like(res.kernel_basis)
+
+
+def test_a_walk_of_reflections_lives_as_long_as_its_first_rep(rng):
+    r = random_rep(qr.an_quiver(4), {"1": 1, "2": 2, "3": 2, "4": 1}, rng)
+
+    def walk(start):
+        reps = [start]
+        for v in orientation_sequence_an(4, "<<>"):
+            reps.append(qr.reflect_source(reps[-1], v).rep)
+        return [weakref.ref(s) for s in reps[1:]]
+
+    # each kept reflection holds the next Rep, so r keeps the whole walk alive
+    kept = walk(r)
+    gc.collect()
+    assert len(kept) == 3 and all(w() is not None for w in kept)
+    # a walk from a copy is freed with the copy; dropping r frees its own walk
+    from_copy = walk(copy.copy(r))
+    del r
+    gc.collect()
+    assert all(w() is None for w in kept + from_copy)
 
 
 def test_transport_of_identity_is_identity(rng):

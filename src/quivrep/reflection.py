@@ -1,12 +1,12 @@
 """Reflection functors at sinks and sources, duality, and orientation sequences.
 
 The forward reflection at a sink v replaces H_v by the kernel of the combined
-arrival map h_v = [f_a]_{a into v} (blocks in arrow declaration order) and
-reverses those arrows.  The backward reflection at a source is derived from
-it through duality, backward = dual ∘ forward ∘ dual: the dual turns the
-source into a sink and the combined departure map into the adjoint arrival
-map, so H_v becomes the orthogonal complement of the image of the departure
-map.  Both carry homs along via the stored kernel basis.
+arrival map [f_a]_{a into v}; the backward reflection at a source replaces it
+by the kernel of the adjoint departure map [g_a*]_{a out of v}, the orthogonal
+complement of the image of the departure map (blocks in arrow declaration
+order).  Either way the arrows at v are reversed and marked, each carrying
+its block of the kernel basis (its adjoint at a source), and the kernel basis
+carries homs along.  (Co-)fullness at v is read from the reflection.
 
 A reflection depends on the representation alone, whose matrices are
 read-only, so each is made once per `Rep` object and kept on it, as End is:
@@ -17,6 +17,7 @@ asking again for the same vertex and direction returns the same
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,89 +46,50 @@ class ReflectionResult:
     block_offsets: tuple[int, ...]
 
 
-def _arrival_map(r: Rep, v: str):
-    """The arrows into the sink v and their combined arrival map [f_a]."""
-    if not r.quiver.has_vertex(v):
-        raise ValueError(f"no vertex {v!r} in quiver {r.quiver.name!r}")
-    if r.quiver.arrows_out_of(v):
-        raise PreconditionError(
-            f"vertex {v!r} is not a sink; the forward reflection is defined only at a sink"
-        )
-    arrows = r.quiver.arrows_into(v)
-    if not arrows:
-        return arrows, np.zeros((r.dims[v], 0), dtype=complex)
-    return arrows, np.hstack([r.mats[a.name] for a in arrows])
-
-
-def _require_source(r: Rep, v: str):
-    if not r.quiver.has_vertex(v):
-        raise ValueError(f"no vertex {v!r} in quiver {r.quiver.name!r}")
-    if r.quiver.arrows_into(v):
-        raise PreconditionError(
-            f"vertex {v!r} is not a source; the backward reflection is defined only at a source"
-        )
-
-
-def _stacked_blocks(r: Rep, arrows):
-    """Source vertex and row offset of each arrow's block in the stacked space."""
-    verts = tuple(a.src for a in arrows)
-    offsets, pos = [], 0
-    for u in verts:
-        offsets.append(pos)
-        pos += r.dims[u]
-    return verts, tuple(offsets)
-
-
-def _kept(r: Rep, v: str, direction: str, reflect) -> ReflectionResult:
-    """r's reflection at v in `direction`, made by `reflect(r, v)` on the first call only.
-
-    A call that raises keeps nothing, so it raises again when repeated.
-    """
-    key = (v, direction)
-    if key not in r._reflections:
-        r._reflections[key] = reflect(r, v)
-    return r._reflections[key]
-
-
-def reflect_sink(r: Rep, v: str) -> ReflectionResult:
-    """Forward reflection at a sink: the arrows into v are reversed and marked."""
-    return _kept(r, v, "sink", _reflect_sink)
-
-
-def _reflect_sink(r: Rep, v: str) -> ReflectionResult:
-    q = r.quiver
-    arrows, h = _arrival_map(r, v)
-    verts, offsets = _stacked_blocks(r, arrows)
+def _reflect(r: Rep, v: str, direction: str) -> ReflectionResult:
+    """Reflect r at the sink or source v and keep the result on r; a call that raises keeps nothing."""
+    q, sink = r.quiver, direction == "sink"
+    if not q.has_vertex(v):
+        raise ValueError(f"no vertex {v!r} in quiver {q.name!r}")
+    if q.arrows_out_of(v) if sink else q.arrows_into(v):
+        kind, way = ("sink", "forward") if sink else ("source", "backward")
+        raise PreconditionError(f"vertex {v!r} is not a {kind}; the {way} reflection is defined only at a {kind}")
+    arrows = q.arrows_into(v) if sink else q.arrows_out_of(v)
+    verts = tuple(a.src if sink else a.dst for a in arrows)  # the far end of each arrow
+    offsets = tuple(accumulate([r.dims[u] for u in verts], initial=0))[:-1]
+    # the map whose kernel is the new H_v: [f_a] at a sink, [g_a*] at a source
+    blocks = [r.mats[a.name] if sink else r.mats[a.name].conj().T for a in arrows]
+    h = np.hstack(blocks) if blocks else np.zeros((r.dims[v], 0))
     kernel = linalg.read_only(linalg.nullspace(h))  # total x k
 
     dims = dict(r.dims)
     dims[v] = kernel.shape[1]
-    mats = {a.name: r.mats[a.name] for a in q.arrows if a.dst != v}
-    for a, off in zip(arrows, offsets):
-        # reversed arrow v -> src(a): rows of the kernel basis belonging to src(a)
-        mats[toggle_mark(a.name)] = kernel[off : off + r.dims[a.src], :]
+    mats = {a.name: r.mats[a.name] for a in q.arrows if a not in arrows}
+    for a, u, off in zip(arrows, verts, offsets):
+        block = kernel[off : off + r.dims[u], :]  # the reversed arrow's map between v and u
+        mats[toggle_mark(a.name)] = block if sink else block.conj().T
     # new_quiver rejects a marked name that clashes with an arrow kept as it is
-    arrows_out = [a.reversed() if a.dst == v else a for a in q.arrows]
-    flipped = new_quiver(q.vertices, [(a.name, a.src, a.dst) for a in arrows_out], name=q.name)
-    out = new_rep(flipped, dims, mats)
-    return ReflectionResult(out, r, v, "sink", kernel, verts, offsets)
+    flipped = [a.reversed() if a in arrows else a for a in q.arrows]
+    out = new_rep(new_quiver(q.vertices, [(a.name, a.src, a.dst) for a in flipped], name=q.name), dims, mats)
+    r._reflections[(v, direction)] = res = ReflectionResult(out, r, v, direction, kernel, verts, offsets)
+    return res
+
+
+def reflect_sink(r: Rep, v: str) -> ReflectionResult:
+    """Forward reflection at a sink: the arrows into v are reversed and marked."""
+    return r._reflections.get((v, "sink")) or _reflect(r, v, "sink")
 
 
 def reflect_source(r: Rep, v: str) -> ReflectionResult:
-    """Backward reflection at a source: dual ∘ reflect_sink ∘ dual.
-
-    The kernel basis and the block layout are those of the forward reflection
-    of the dual, which live in the same stacked space of the targets.
-    """
-    return _kept(r, v, "source", _reflect_source)
+    """Backward reflection at a source: the arrows out of v are reversed and marked."""
+    return r._reflections.get((v, "source")) or _reflect(r, v, "source")
 
 
-def _reflect_source(r: Rep, v: str) -> ReflectionResult:
-    _require_source(r, v)
-    res = _reflect_sink(dual(r), v)
-    return ReflectionResult(
-        dual(res.rep), r, v, "source", res.kernel_basis, res.block_vertices, res.block_offsets
-    )
+def _hypothesis_ok(res: ReflectionResult) -> bool:
+    """Full at the sink (co-full at the source): the map whose kernel is the
+    reflected H_v is onto H_v, so that kernel has dimension Σ dim(far ends) − dim H_v."""
+    r, v = res.source_rep, res.vertex
+    return res.rep.dims[v] == sum(r.dims[u] for u in res.block_vertices) - r.dims[v]
 
 
 def dual(r: Rep) -> Rep:
@@ -171,14 +133,13 @@ def transport_hom(res1: ReflectionResult, res2: ReflectionResult, t: Hom) -> Hom
 
 
 def is_full_at_sink(r: Rep, v: str) -> bool:
-    """rank of the combined arrival map equals dim H_v."""
-    return linalg.matrix_rank(_arrival_map(r, v)[1]) == r.dims[v]
+    """rank of the combined arrival map equals dim H_v, read from the kept reflection."""
+    return _hypothesis_ok(reflect_sink(r, v))
 
 
 def is_co_full_at_source(r: Rep, v: str) -> bool:
-    """rank of the combined departure map equals dim H_v (fullness of the dual)."""
-    _require_source(r, v)
-    return is_full_at_sink(dual(r), v)
+    """rank of the combined departure map equals dim H_v, read from the kept reflection."""
+    return _hypothesis_ok(reflect_source(r, v))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +182,6 @@ def verify_end_isomorphism(r: Rep, v: str, direction: str) -> EndIsoReport:
         res = reflect_source(r, v)
     else:
         raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
-    # (co-)full exactly when the kernel of the combined map has the complementary dimension
-    hypothesis_ok = res.rep.dims[v] == sum(r.dims[u] for u in res.block_vertices) - r.dims[v]
 
     eb = end_basis(r)
     eb2 = end_basis(res.rep)
@@ -251,7 +210,7 @@ def verify_end_isomorphism(r: Rep, v: str, direction: str) -> EndIsoReport:
     return EndIsoReport(
         vertex=v,
         direction=direction,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=_hypothesis_ok(res),
         end_dim=eb.dim,
         end_dim_reflected=eb2.dim,
         dims_equal=eb.dim == eb2.dim,

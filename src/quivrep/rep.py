@@ -33,7 +33,7 @@ class Rep:
     # End of this representation, kept by `hom.end_basis` (its only writer)
     _end: HomBasis | None = field(default=None, init=False, repr=False, compare=False)
     # reflections of this representation by (vertex, "sink" | "source"), kept by
-    # `reflection.reflect_sink` / `reflect_source` (their only writers)
+    # `reflection._reflect` (its only writer)
     _reflections: dict[tuple[str, str], ReflectionResult] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 

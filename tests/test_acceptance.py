@@ -174,18 +174,28 @@ def test_05_backward_then_forward_reflection_round_trips():
 
 def test_06_backward_reflection_equals_dualized_forward_reflection():
     rng = np.random.default_rng(3)
-    cases = [(kronecker_quiver(), "1"), (opposite(_star_quiver()), "5"), (an_quiver(3, "<>"), "2")]
+    isolated = new_quiver(["1", "2", "3"], [("a", "1", "2")])
+    # (quiver, source, dimensions fixed rather than drawn): the last two are an
+    # isolated vertex and a source whose arrows all end at dimension 0
+    cases = [(kronecker_quiver(), "1", {}), (opposite(_star_quiver()), "5", {}), (an_quiver(3, "<>"), "2", {}),
+             (isolated, "3", {}), (kronecker_quiver(), "1", {"2": 0})]
     checked = 0
     while checked < 100:
-        q, src = cases[checked % len(cases)]
-        dims = {v: int(rng.integers(0, 4)) for v in q.vertices}
+        q, src, fixed = cases[checked % len(cases)]
+        dims = {v: int(rng.integers(0, 4)) for v in q.vertices} | fixed
         r = random_rep(q, dims, rng)
-        direct = reflect_source(r, src).rep
-        via_dual = dual(reflect_sink(dual(r), src).rep)
+        res = reflect_source(r, src)
+        res_dual = reflect_sink(dual(r), src)
+        direct, via_dual = res.rep, dual(res_dual.rep)
         assert direct.quiver == via_dual.quiver
         assert direct.dims == via_dual.dims
         for a in direct.quiver.arrows:
             assert np.array_equal(direct.mats[a.name], via_dual.mats[a.name]), a.name
+        # the data transport_hom reads
+        assert res.kernel_basis.shape == res_dual.kernel_basis.shape
+        assert np.array_equal(res.kernel_basis, res_dual.kernel_basis)
+        assert res.block_vertices == res_dual.block_vertices
+        assert res.block_offsets == res_dual.block_offsets
         checked += 1
 
 

@@ -61,11 +61,16 @@ def test_reflection_rejects_a_loop_vertex():
         qr.reflect_source(r, "1")
 
 
-def test_reflect_sink_rejects_a_marked_name_already_taken():
-    q = qr.new_quiver(["1", "2", "3"], [("a", "1", "2"), ("a~", "3", "1")])
+@pytest.mark.parametrize("arrows, reflect", [
+    ([("a", "1", "2"), ("a~", "3", "1")], qr.reflect_sink),
+    ([("a", "2", "1"), ("a~", "1", "3")], qr.reflect_source),
+], ids=["sink", "source"])
+def test_reflect_sink_rejects_a_marked_name_already_taken(arrows, reflect):
+    # reversing a at vertex 2 makes a second arrow named a~
+    q = qr.new_quiver(["1", "2", "3"], arrows)
     r = qr.new_rep(q, {"1": 1, "2": 1, "3": 1}, {"a": [[0.0]], "a~": [[2.0]]})
     with pytest.raises(ValueError, match="duplicate arrow name 'a~'"):
-        qr.reflect_sink(r, "2")
+        reflect(r, "2")
 
 
 @pytest.mark.parametrize("call", [
@@ -298,8 +303,9 @@ def _two_sources(rng):
 def test_a_reflection_is_made_once_per_rep(monkeypatch, rng):
     r = _two_sources(rng)
     made = []
-    real = reflection._reflect_source
-    monkeypatch.setattr(reflection, "_reflect_source", lambda s, v: made.append(v) or real(s, v))
+    real = reflection._reflect
+    monkeypatch.setattr(reflection, "_reflect",
+                        lambda s, v, d: (d == "source" and made.append(v)) or real(s, v, d))
     plus, minus = qr.reflect_sink(r, "2"), qr.reflect_source(r, "1")
     assert qr.reflect_sink(r, "2") is plus and qr.reflect_source(r, "1") is minus
     assert r._reflections == {("2", "sink"): plus, ("1", "source"): minus}

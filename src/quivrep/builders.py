@@ -48,13 +48,14 @@ def subspace_inclusion_rep(
     for a in quiver.arrows:
         s_name, t_name = vertex_subspaces[a.src], vertex_subspaces[a.dst]
         js, jt = subspaces[s_name], subspaces[t_name]
-        defect = np.linalg.norm(js - jt @ (jt.conj().T @ js))
+        coords = jt.conj().T @ js
+        defect = np.linalg.norm(js - jt @ coords)
         if defect > TOL.get() * max(1.0, np.linalg.norm(js)):
             raise PreconditionError(
                 f"arrow {a.name!r}: subspace {s_name!r} is not contained in {t_name!r} "
                 f"(defect {defect:.2e}); inclusion arrows need nested subspaces"
             )
-        mats[a.name] = jt.conj().T @ js
+        mats[a.name] = coords
     return new_rep(quiver, dims, mats)
 
 

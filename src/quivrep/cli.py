@@ -336,8 +336,8 @@ def run(argv=None) -> int:
     if args.seed < 0:
         print("error: --seed must be nonnegative", file=sys.stderr)
         return 2
-    if not (args.tol > 0):
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0 < args.tol < np.inf:
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return 2
     token = TOL.set(args.tol)
     echo = " ".join(argv)

@@ -123,16 +123,10 @@ def reduce_zero_vertex(r: Rep, k: int) -> Rep:
             f"position {k} has dimension {r.dims[order_v[k - 1]]}; contraction removes a zero vertex"
         )
 
-    # old positions (0-based) surviving, in cycle order
-    keep = [i for i in range(n) if i != k - 1]
-    dims = [r.dims[order_v[i]] for i in keep]
-    mats_list = []
-    for j in range(len(keep)):
-        i = keep[j]
-        nxt = keep[(j + 1) % len(keep)]
-        if (i + 1) % n == nxt:
-            mats_list.append(np.asarray(r.mats[order_a[i]], dtype=complex))
-        else:
-            # the merged arrow through the removed vertex carries the zero map
-            mats_list.append(np.zeros((dims[(j + 1) % len(keep)], dims[j]), dtype=complex))
-    return cycle_rep(dims, mats_list)
+    # the arrow into position k now joins its two neighbours and carries the zero map
+    dims = [r.dims[v] for v in order_v]
+    mats = [r.mats[a] for a in order_a]
+    into = (k - 2) % n
+    mats[into] = np.zeros((dims[k % n], dims[into]), dtype=complex)
+    del dims[k - 1], mats[k - 1]
+    return cycle_rep(dims, mats)

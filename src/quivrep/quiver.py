@@ -66,28 +66,17 @@ def new_quiver(vertices, arrows, name: str = "Q") -> Quiver:
     return Quiver(vs, tuple(built), name=name)
 
 
+# by (emits an arrow, receives an arrow)
+_KINDS = {(False, False): "isolated", (False, True): "sink", (True, False): "source", (True, True): "internal"}
+
+
 def vertex_kinds(q: Quiver) -> dict[str, str]:
     """Classify every vertex as 'sink', 'source', 'internal' or 'isolated'.
 
-    A sink emits no arrow, a source receives none; a loop makes its vertex
-    internal (it both emits and receives).
+    A sink emits no arrow, a source receives none (the test the reflections
+    apply); a loop makes its vertex internal (it both emits and receives).
     """
-    out = {v: 0 for v in q.vertices}
-    inc = {v: 0 for v in q.vertices}
-    for a in q.arrows:
-        out[a.src] += 1
-        inc[a.dst] += 1
-    kinds = {}
-    for v in q.vertices:
-        if out[v] == 0 and inc[v] == 0:
-            kinds[v] = "isolated"
-        elif out[v] == 0:
-            kinds[v] = "sink"
-        elif inc[v] == 0:
-            kinds[v] = "source"
-        else:
-            kinds[v] = "internal"
-    return kinds
+    return {v: _KINDS[bool(q.arrows_out_of(v)), bool(q.arrows_into(v))] for v in q.vertices}
 
 
 def toggle_mark(name: str) -> str:
@@ -158,24 +147,6 @@ def _connected(q: Quiver) -> bool:
     return len(connected_components(len(q.vertices), edges)) == 1
 
 
-def _arms(q: Quiver, center: str, degree: dict[str, int]) -> list[tuple[int, str]]:
-    """Walk each path leaving `center` until a vertex of degree != 2; returns (length, end)."""
-    adj: dict[str, list[str]] = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        adj[a.src].append(a.dst)
-        adj[a.dst].append(a.src)
-    arms = []
-    for start in adj[center]:
-        length = 1
-        prev, cur = center, start
-        while degree[cur] == 2:
-            nxt = [w for w in adj[cur] if w != prev]
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append((length, cur))
-    return arms
-
-
 # the three-armed stars other than D, by sorted arm lengths (edges from the centre)
 _STAR_FAMILIES = {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8",
                   (2, 2, 2): "E6~", (1, 3, 3): "E7~", (1, 2, 5): "E8~"}
@@ -197,38 +168,33 @@ def graph_family(q: Quiver) -> GraphFamily:
     if len(q.arrows) != nv - 1:
         return GraphFamily("other")
 
-    # trees from here on
-    degree = {v: 0 for v in q.vertices}
+    # trees from here on: walk each arm of each branch vertex to its end, a leaf or a branch vertex
+    adj: dict[str, list[str]] = {v: [] for v in q.vertices}
     for a in q.arrows:
-        degree[a.src] += 1
-        degree[a.dst] += 1
-    branch = [v for v in q.vertices if degree[v] >= 3]
+        adj[a.src].append(a.dst)
+        adj[a.dst].append(a.src)
+    branch = [v for v in q.vertices if len(adj[v]) >= 3]
     if not branch:
         return GraphFamily("A", nv)
+    arms = []  # (length in edges, end vertex)
+    for c in branch:
+        for cur in adj[c]:
+            length, prev = 1, c
+            while len(adj[cur]) == 2:
+                prev, cur = cur, next(w for w in adj[cur] if w != prev)
+                length += 1
+            arms.append((length, cur))
     if len(branch) == 1:
-        c = branch[0]
-        arms = _arms(q, c, degree)
-        if any(end != c and degree[end] != 1 for _, end in arms):
-            return GraphFamily("other")
         lengths = tuple(sorted(length for length, _ in arms))
         if lengths == (1, 1, 1, 1):
             return GraphFamily("D~", 4)
         if len(lengths) == 3 and lengths[:2] == (1, 1):
             return GraphFamily("D", nv)
         return GraphFamily(_STAR_FAMILIES.get(lengths, "other"))
-    if len(branch) == 2:
-        a, b = branch
-        if degree[a] == degree[b] == 3:
-            ok = True
-            for c, other in ((a, b), (b, a)):
-                arms = _arms(q, c, degree)
-                leaf_arms = sorted(l for l, end in arms if end != other)
-                link_arms = [l for l, end in arms if end == other]
-                if leaf_arms != [1, 1] or len(link_arms) != 1:
-                    ok = False
-            if ok:
-                return GraphFamily("D~", nv - 1)
-        return GraphFamily("other")
+    # D~n (n >= 5): two branch vertices of degree 3, whose four arms to a leaf all have length 1
+    leaf_arms = [length for length, end in arms if len(adj[end]) == 1]
+    if len(branch) == 2 and len(arms) == 6 and leaf_arms == [1, 1, 1, 1]:
+        return GraphFamily("D~", nv - 1)
     return GraphFamily("other")
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import builders, cyclic, hom, linalg, opmodels, reflection, rep
+from .errors import PreconditionError
 from .quiver import kronecker_quiver, new_quiver
 from .rep import new_rep
 from .textio import fmt_real
@@ -322,7 +323,7 @@ def suite_builders(trials: int, seed: int) -> list[Check]:
         builders.build_an_tilde_noncyclic(cyclic.cycle_quiver(3),
                                           np.eye(1, dtype=complex), np.eye(1, dtype=complex))
         cycle_rejected = False
-    except Exception:
+    except PreconditionError:
         cycle_rejected = True
     checks.append(Check("a one-way cycle orientation is rejected", cycle_rejected, ""))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quivrep import cli, hom, linalg, opmodels, verify
+from quivrep import builders, cli, hom, linalg, opmodels, verify
 from quivrep.config import TOL
 from quivrep.textio import format_matrix
 
@@ -303,6 +303,11 @@ def test_common_flag_validation(rep_file, capsys):
     assert cli.run(["analyze", path, "--seed", "-1"]) == 2
     assert cli.run(["analyze", path, "--tol", "0"]) == 2
     assert cli.run(["analyze", path, "--tol", "-3"]) == 2
+    for tol in ("inf", "1e400"):
+        capsys.readouterr()
+        assert cli.run(["analyze", path, "--tol", tol]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_argparse_level_exits(capsys):
@@ -336,6 +341,19 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out = run_lines(capsys, ["verify", "--suite", "cyclic"])
     assert code == 1
     assert "FAIL forced" in out
+
+
+def test_verify_counts_only_a_precondition_error_as_the_cycle_rejection(monkeypatch):
+    real = builders.build_an_tilde_noncyclic
+
+    def standin(orientation, a, b):
+        if orientation.name == "C3":
+            raise RuntimeError("a bug, not a rejection")
+        return real(orientation, a, b)
+
+    monkeypatch.setattr(builders, "build_an_tilde_noncyclic", standin)
+    with pytest.raises(RuntimeError, match="a bug"):
+        verify.suite_builders(1, 7)
 
 
 def test_text_rendering_of_check_lines(capsys):

@@ -156,8 +156,16 @@ def test_reduce_zero_vertex_preserves_end_dim():
         before = qr.end_basis(r).dim
         for k in range(1, n + 1):
             if dims[k - 1] == 0:
-                after = qr.end_basis(qr.reduce_zero_vertex(r, k)).dim
-                assert after == before
+                small = qr.reduce_zero_vertex(r, k)
+                assert qr.end_basis(small).dim == before
+                # arrow i runs from position i to i + 1 (0-based); arrow k - 1 goes with the vertex
+                kept = [i for i in range(n) if i != k - 1]
+                for j, i in enumerate(kept):
+                    got = small.mat(f"a{j + 1}")
+                    if i == (k - 2) % n:  # into the removed vertex: now a zero map to its successor
+                        assert got.shape == (dims[k % n], dims[i]) and not got.any()
+                    else:
+                        assert got.shape == mats[i].shape and got.tobytes() == mats[i].tobytes()
 
 
 def test_reduce_zero_vertex_preconditions():

@@ -283,6 +283,10 @@ def test_density_preconditions_and_heuristic():
         density_criterion("seq:list:[1,2]", "seq:reciprocal")  # undecidable tail
     v = density_criterion("seq:hrr", "seq:reciprocal")
     assert v.heuristic and v.dense  # odd-index ratios blow up fast
+    # equal sequences: every ratio is 1 until both logs saturate at n = 171
+    v = density_criterion("seq:hrr", "seq:hrr")
+    assert v.heuristic and v.dense and v.ratio_l2 is False
+    assert v.reason == "partial sums still growing after 170 indices"
 
 
 @pytest.mark.parametrize("lam, w", [("seq:exp-neg-pow:3:odd", "seq:hrr"), ("seq:hrr", "seq:exp-neg-pow:3:odd")])

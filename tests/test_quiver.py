@@ -1,6 +1,8 @@
+import math
 import random
 import unittest
 
+import numpy as np
 import pytest
 
 import quivrep as qr
@@ -182,14 +184,16 @@ def _random_quiver(rng):
 
 
 def _oracle_cycle(q):
-    """(single cycle, oriented) from degrees and a connectivity search."""
+    """(single cycle, oriented, vertex kinds) from degrees and a connectivity search."""
     degree = {v: 0 for v in q.vertices}
     out = {v: 0 for v in q.vertices}
+    inc = {v: 0 for v in q.vertices}
     adj = {v: set() for v in q.vertices}
     for a in q.arrows:
         degree[a.src] += 1
         degree[a.dst] += 1
         out[a.src] += 1
+        inc[a.dst] += 1
         adj[a.src].add(a.dst)
         adj[a.dst].add(a.src)
     seen, todo = {q.vertices[0]}, [q.vertices[0]]
@@ -199,7 +203,9 @@ def _oracle_cycle(q):
             todo.append(w)
     single = (len(seen) == len(q.vertices) and len(q.arrows) == len(q.vertices)
               and all(d == 2 for d in degree.values()))
-    return single, single and all(n == 1 for n in out.values())
+    kinds = {v: "internal" if out[v] and inc[v] else "sink" if inc[v] else "source" if out[v] else "isolated"
+             for v in q.vertices}
+    return single, single and all(n == 1 for n in out.values()), kinds
 
 
 def test_cycle_recognition_matches_degree_oracle():
@@ -207,7 +213,8 @@ def test_cycle_recognition_matches_degree_oracle():
     cycles = oriented = 0
     for _ in range(2000):
         q = _random_quiver(rng)
-        single, one_way = _oracle_cycle(q)
+        single, one_way, kinds = _oracle_cycle(q)
+        assert vertex_kinds(q) == kinds, q
         fam = graph_family(q)
         assert (fam.family == "A~") == single, q
         assert fam.oriented_cycle == one_way, q
@@ -216,6 +223,56 @@ def test_cycle_recognition_matches_degree_oracle():
         oriented += one_way
     # the sweep must reach both answers often enough to mean something
     assert cycles > 200 and oriented > 50
+
+
+def _random_tree(rng):
+    """A uniformly random labelled tree on 1-12 vertices (its Pruefer sequence), randomly oriented."""
+    nv = rng.randint(1, 12)
+    code = [rng.randrange(nv) for _ in range(nv - 2)]
+    free = [1 + code.count(i) for i in range(nv)]  # degree not yet joined
+    edges = []
+    for p in code:
+        leaf = free.index(1)
+        edges.append((leaf, p))
+        free[leaf] -= 1
+        free[p] -= 1
+    if nv > 1:
+        edges.append(tuple(i for i in range(nv) if free[i] == 1))
+    vs = [str(i) for i in range(1, nv + 1)]
+    ends = [(vs[u], vs[w]) if rng.random() < 0.5 else (vs[w], vs[u]) for u, w in edges]
+    return qr.new_quiver(vs, [(f"e{i}", u, w) for i, (u, w) in enumerate(ends)])
+
+
+def _coxeter_number(fam):
+    if fam.family == "A":
+        return fam.n + 1
+    if fam.family == "D":
+        return 2 * fam.n - 2
+    return {"E6": 12, "E7": 18, "E8": 30}[fam.family]
+
+
+def test_tree_families_match_the_spectral_radius():
+    # Smith (1970): a connected graph has spectral radius < 2 iff it is Dynkin,
+    # = 2 iff it is extended Dynkin; a Dynkin graph's radius is 2 cos(pi / h)
+    rng = random.Random(1970)
+    seen = set()
+    for _ in range(5000):
+        q = _random_tree(rng)
+        index = {v: i for i, v in enumerate(q.vertices)}
+        adj = np.zeros((len(index), len(index)))
+        for a in q.arrows:
+            adj[index[a.src], index[a.dst]] = adj[index[a.dst], index[a.src]] = 1.0
+        rho = np.linalg.eigvalsh(adj)[-1]
+        fam = graph_family(q)
+        seen.add(fam.family)
+        if fam.family in ("A", "D", "E6", "E7", "E8"):
+            assert abs(rho - 2 * math.cos(math.pi / _coxeter_number(fam))) < 1e-9, (fam, q)
+        elif fam.family in ("D~", "E6~", "E7~", "E8~"):
+            n = fam.n if fam.family == "D~" else int(fam.family[1])
+            assert abs(rho - 2) < 1e-9 and len(q.vertices) == n + 1, (fam, q)
+        else:
+            assert fam.family == "other" and rho > 2 + 1e-9, (fam, q)
+    assert seen == {"A", "D", "E6", "E7", "E8", "D~", "E6~", "E7~", "E8~", "other"}
 
 
 def test_parse_orientation_forms():

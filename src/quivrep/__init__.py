@@ -27,6 +27,7 @@ from .rep import (
     conjugate,
     decompose_with,
     direct_sum,
+    idempotent_fault,
     identity_hom,
     is_invertible_hom,
     make_hom,

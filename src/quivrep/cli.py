@@ -137,7 +137,7 @@ def _cmd_analyze(args, echo):
     report = _base_report(args, echo)
     report.update(
         quiver=r.quiver.name,
-        dims={v: r.dim(v) for v in r.quiver.vertices},
+        dims=dict(r.dims),
         end_dim=verdict.end_dim,
         max_residual=float(verdict.max_residual),
         transitive=bool(verdict.end_dim == 1),
@@ -151,7 +151,7 @@ def _cmd_analyze(args, echo):
 
 def _cmd_reflect(args, echo):
     r = textio.parse_rep(_read(args.file))
-    if not r.quiver.has_vertex(args.vertex):
+    if args.vertex not in r.quiver.vertices:
         raise ParseError(f"vertex {args.vertex!r} not in quiver {r.quiver.name!r}")
     if args.dir == "plus":
         res = reflection.reflect_sink(r, args.vertex)
@@ -161,8 +161,8 @@ def _cmd_reflect(args, echo):
     report.update(
         vertex=args.vertex,
         direction=args.dir,
-        dims_before={v: r.dim(v) for v in r.quiver.vertices},
-        dims_after={v: res.rep.dim(v) for v in res.rep.quiver.vertices},
+        dims_before=dict(r.dims),
+        dims_after=dict(res.rep.dims),
         reflected=textio.format_rep(res.rep).rstrip("\n"),
     )
     if args.verify_end_iso:
@@ -210,7 +210,7 @@ def _cmd_build(args, echo):
         r = builders.build_extended_dynkin(args.family, op)
     verdict = hom.is_indecomposable(r, seed=args.seed)
     report.update(
-        dims={v: r.dim(v) for v in r.quiver.vertices},
+        dims=dict(r.dims),
         end_dim=verdict.end_dim,
         indecomposable=verdict.indecomposable,
         verdict=verdict.kind,
@@ -223,17 +223,17 @@ def _cmd_cycle(args, echo):
     r = textio.parse_rep(_read(args.file))
     crit = cyclic.cn_transitive_criterion(r)
     eb = hom.end_basis(r)
-    direct = bool(eb.dim == 1 and not r.is_zero)
+    direct = eb.dim == 1
     report = _base_report(args, echo)
     report.update(
         quiver=r.quiver.name,
-        dims={v: r.dim(v) for v in r.quiver.vertices},
+        dims=dict(r.dims),
         criterion=crit,
         end_dim=eb.dim,
         direct_transitive=direct,
         agree=bool(crit == direct),
     )
-    if all(r.dim(v) <= 1 for v in r.quiver.vertices):
+    if all(d <= 1 for d in r.dims.values()):
         comps = cyclic.hf_components(r)
         report["components"] = [",".join(str(i) for i in comp) for comp in comps]
     return report, 0

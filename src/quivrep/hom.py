@@ -18,9 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .config import IDEM_TOL, IDEM_TRIALS, ISO_TRIALS, PIVOT_TOL
+from .config import IDEM_TRIALS, ISO_TRIALS, PIVOT_TOL
 from .errors import PreconditionError
-from .rep import Hom, Rep, hom_residual, idempotent_defects, is_invertible_hom, make_hom
+from .rep import Hom, Rep, hom_residual, idempotent_fault, is_invertible_hom, make_hom
 
 
 class Pivot(NamedTuple):
@@ -30,7 +30,7 @@ class Pivot(NamedTuple):
     arrows: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomBasis:
     """Orthonormal basis of an intertwiner space (orthonormal once flattened).
 
@@ -281,9 +281,9 @@ def end_basis(r: Rep) -> HomBasis:
     r and the basis refer to each other, so the garbage collector frees them
     together.
     """
-    if r._end is None:
-        object.__setattr__(r, "_end", hom_basis(r, r))
-    return r._end
+    if "end" not in r._kept:
+        r._kept["end"] = hom_basis(r, r)
+    return r._kept["end"]
 
 
 class TransitivityVerdict(NamedTuple):
@@ -320,10 +320,10 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
     merged.  Their cluster farthest from the others (the first on a tie) is
     chosen, and at each vertex `linalg.spectral_projection` projects T_v onto
     its eigenvalues nearest that centroid: a sign-function projection, one
-    holomorphic function of T at every vertex, hence in End; residual checks
-    guard the numerics.  Of e and 1 - e it returns the one whose rank vector
-    (round(tr e_v) in quiver vertex order) is smaller lexicographically, e on
-    a tie.  None after IDEM_TRIALS failed draws.
+    holomorphic function of T at every vertex, hence in End; a draw whose
+    projection `rep.idempotent_fault` rejects fails.  Of e and 1 - e it
+    returns the one whose rank vector (round(tr e_v) in quiver vertex order)
+    is smaller lexicographically, e on a tie.  None after IDEM_TRIALS failed draws.
     """
     if eb.source is not eb.target and eb.source.dims != eb.target.dims:
         raise ValueError("idempotent search needs an endomorphism basis")
@@ -352,10 +352,7 @@ def find_nontrivial_idempotent(eb: HomBasis, seed: int = 0) -> Hom | None:
         except (np.linalg.LinAlgError, ValueError):
             continue
         p = make_hom(r, r, proj)
-        sq_defect, id_defect = idempotent_defects(p)
-        if sq_defect > IDEM_TOL or p.residual > IDEM_TOL:
-            continue
-        if p.norm() <= IDEM_TOL or id_defect <= IDEM_TOL:
+        if idempotent_fault(p):
             continue
         ranks = [round(np.trace(proj[v]).real) for v in r.quiver.vertices]
         if ranks > [r.dims[v] - k for v, k in zip(r.quiver.vertices, ranks)]:

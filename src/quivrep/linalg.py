@@ -187,8 +187,6 @@ def is_invertible(a) -> bool:
     if n == 0:
         return True
     s = np.linalg.svd(real_if_exact(a), compute_uv=False)
-    if s[0] == 0.0:
-        return False
     return bool(s[-1] > TOL.get() * s[0])
 
 

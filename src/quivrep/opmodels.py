@@ -181,14 +181,6 @@ def parse_sequence(literal) -> SequenceSpec:
     raise ValueError(f"unknown sequence literal {literal!r}")
 
 
-def parity_weight_pair(lam: float = 3.0) -> tuple[SequenceSpec, SequenceSpec]:
-    """Diagonal/shift weights exp(-lam**n) on even / odd n >= 1, else 1."""
-    return (
-        SequenceSpec("exp-neg-pow", lam=lam, parity="even"),
-        SequenceSpec("exp-neg-pow", lam=lam, parity="odd"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # fixture operators
 
@@ -206,17 +198,22 @@ def jordan_block(n: int, lam: complex = 0.0) -> np.ndarray:
 # operator pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
-    """Two operators on C^n, kept as read-only copies, so what is derived from them is built once."""
+    """Two finite square operators on C^n, kept as read-only copies, so what is derived from them is built once."""
 
     a: np.ndarray
     b: np.ndarray
     tag: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "a", linalg.read_only(self.a))
-        object.__setattr__(self, "b", linalg.read_only(self.b))
+        a, b = linalg.read_only(self.a), linalg.read_only(self.b)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+            raise ValueError(f"an operator pair needs two square matrices of one size, got {a.shape} and {b.shape}")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("an operator pair needs finite entries")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def n(self) -> int:
@@ -260,18 +257,17 @@ def kron_pair_bilateral(a_seq, b_seq, m: int) -> OperatorPair:
     """Diagonal A and weighted-shift B over the window -m..m of Z (no wrap).
 
     A e_k = a(k) e_k and B e_k = b(k) e_{k+1}; the image of the top window
-    vector leaves the window and is dropped.  Any weight that evaluates to
-    exact zero in the window (for instance by underflow of exp(-lam**n))
-    is an error.
+    vector leaves the window and is dropped, so a is read on -m..m and b on
+    -m..m-1 only.  Any weight read that evaluates to exact zero (for instance
+    by underflow of exp(-lam**n)) is an error.
     """
     a_seq = parse_sequence(a_seq)
     b_seq = parse_sequence(b_seq)
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    offsets = list(range(-m, m + 1))
-    size = len(offsets)
+    offsets = range(-m, m + 1)
     a_vals = [complex(a_seq.value(k)) for k in offsets]
-    b_vals = [complex(b_seq.value(k)) for k in offsets]
+    b_vals = [complex(b_seq.value(k)) for k in offsets[:-1]]
     for name, vals in (("a", a_vals), ("b", b_vals)):
         for k, v in zip(offsets, vals):
             if v == 0:
@@ -279,9 +275,7 @@ def kron_pair_bilateral(a_seq, b_seq, m: int) -> OperatorPair:
                     f"{name}({k}) is exactly zero in the window (underflow?); the weights must be nonzero"
                 )
     a = np.diag(a_vals).astype(complex)
-    b = np.zeros((size, size), dtype=complex)
-    for i in range(size - 1):
-        b[i + 1, i] = b_vals[i]
+    b = np.diag(np.array(b_vals, dtype=complex), -1)
     return OperatorPair(a, b, tag="bilateral")
 
 
@@ -403,7 +397,7 @@ def density_criterion(lam, w) -> DensityVerdict:
 # subspace systems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceSystem:
     """Finitely many labelled subspaces of C^ambient, each given by an orthonormal injection.
 
@@ -455,7 +449,7 @@ def four_subspace_from_pair(p: OperatorPair) -> SubspaceSystem:
     return p.system
 
 
-@dataclass
+@dataclass(eq=False)
 class SystemEndBasis:
     """Orthonormal basis of {T : T E_i <= E_i for all i}; the other fields describe its solve."""
 

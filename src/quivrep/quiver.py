@@ -38,9 +38,6 @@ class Quiver:
     def arrows_out_of(self, v: str) -> list[Arrow]:
         return [a for a in self.arrows if a.src == v]
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
-
 
 def new_quiver(vertices, arrows, name: str = "Q") -> Quiver:
     """Build a quiver from vertex labels and (name, src, dst) triples, all strings."""

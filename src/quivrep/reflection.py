@@ -33,7 +33,7 @@ from .rep import Hom, Rep, hom_residual, make_hom, new_rep
 MULT_BATCH_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReflectionResult:
     """A reflected representation plus the data needed to transport homs."""
 
@@ -49,7 +49,7 @@ class ReflectionResult:
 def _reflect(r: Rep, v: str, direction: str) -> ReflectionResult:
     """Reflect r at the sink or source v and keep the result on r; a call that raises keeps nothing."""
     q, sink = r.quiver, direction == "sink"
-    if not q.has_vertex(v):
+    if v not in q.vertices:
         raise ValueError(f"no vertex {v!r} in quiver {q.name!r}")
     if q.arrows_out_of(v) if sink else q.arrows_into(v):
         kind, way = ("sink", "forward") if sink else ("source", "backward")
@@ -71,18 +71,18 @@ def _reflect(r: Rep, v: str, direction: str) -> ReflectionResult:
     # new_quiver rejects a marked name that clashes with an arrow kept as it is
     flipped = [a.reversed() if a in arrows else a for a in q.arrows]
     out = new_rep(new_quiver(q.vertices, [(a.name, a.src, a.dst) for a in flipped], name=q.name), dims, mats)
-    r._reflections[(v, direction)] = res = ReflectionResult(out, r, v, direction, kernel, verts, offsets)
+    r._kept[(v, direction)] = res = ReflectionResult(out, r, v, direction, kernel, verts, offsets)
     return res
 
 
 def reflect_sink(r: Rep, v: str) -> ReflectionResult:
     """Forward reflection at a sink: the arrows into v are reversed and marked."""
-    return r._reflections.get((v, "sink")) or _reflect(r, v, "sink")
+    return r._kept.get((v, "sink")) or _reflect(r, v, "sink")
 
 
 def reflect_source(r: Rep, v: str) -> ReflectionResult:
     """Backward reflection at a source: the arrows out of v are reversed and marked."""
-    return r._reflections.get((v, "source")) or _reflect(r, v, "source")
+    return r._kept.get((v, "source")) or _reflect(r, v, "source")
 
 
 def _hypothesis_ok(res: ReflectionResult) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,30 +18,17 @@ from .config import IDEM_TOL
 from .errors import PreconditionError
 from .quiver import Quiver
 
-if TYPE_CHECKING:
-    from .hom import HomBasis
-    from .reflection import ReflectionResult
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rep:
-    """A representation; build it with `new_rep`, which makes the matrices read-only."""
+    """A representation; build it with `new_rep`, which makes the matrices read-only.  Equal only to itself."""
 
     quiver: Quiver
     dims: dict[str, int]
     mats: dict[str, np.ndarray]
-    # End of this representation, kept by `hom.end_basis` (its only writer)
-    _end: HomBasis | None = field(default=None, init=False, repr=False, compare=False)
-    # reflections of this representation by (vertex, "sink" | "source"), kept by
-    # `reflection._reflect` (its only writer)
-    _reflections: dict[tuple[str, str], ReflectionResult] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def dim(self, v: str) -> int:
-        return self.dims[v]
-
-    def mat(self, arrow_name: str) -> np.ndarray:
-        return self.mats[arrow_name]
+    # what is derived from the representation alone, made once: End under "end" (by
+    # `hom.end_basis`), reflections under (vertex, "sink" | "source") (by `reflection._reflect`)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim_vector(self) -> tuple[int, ...]:
@@ -139,15 +126,10 @@ def conjugate(r: Rep, phi: dict) -> Rep:
             raise ValueError(f"phi[{v}] has shape {m.shape}, expected {(d, d)}")
         if not linalg.is_invertible(m):
             raise PreconditionError(f"phi[{v}] is numerically singular; conjugation needs invertible blocks")
-    inv = {}
+    inv = {v: np.linalg.inv(m) for v, m in phi.items()}
     for v in r.quiver.vertices:
-        d = r.dims[v]
-        m = phi.get(v)
-        if m is None:
-            phi[v] = np.eye(d, dtype=complex)
-            inv[v] = np.eye(d, dtype=complex)
-        else:
-            inv[v] = np.linalg.inv(m)
+        if v not in phi:
+            phi[v] = inv[v] = np.eye(r.dims[v], dtype=complex)
     mats = {
         a.name: phi[a.dst] @ r.mats[a.name] @ inv[a.src]
         for a in r.quiver.arrows
@@ -159,7 +141,7 @@ def conjugate(r: Rep, phi: dict) -> Rep:
 # intertwiners as data
 
 
-@dataclass
+@dataclass(eq=False)
 class Hom:
     """A vertex-indexed family of matrices T_v: source_v -> target_v."""
 
@@ -173,9 +155,6 @@ class Hom:
         max over arrows of |T_dst f - g T_src| / (1 + |f||T_dst| + |g||T_src|).
         """
         return hom_residual(self.source, self.target, self.mats)
-
-    def mat(self, v: str) -> np.ndarray:
-        return self.mats[v]
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in self.mats.values())))
@@ -228,17 +207,20 @@ def is_invertible_hom(h: Hom) -> bool:
     return all(linalg.is_invertible(h.mats[v]) for v in h.source.quiver.vertices)
 
 
-def idempotent_defects(e: Hom) -> tuple[float, float]:
-    """(max over vertices of |e_v^2 - e_v|, |e - 1|) for an endomorphism e."""
+def idempotent_fault(e: Hom) -> str | None:
+    """Why the endomorphism e is not a nontrivial idempotent, or None: each of max_v |e_v^2 - e_v|,
+    the intertwining residual, |e| (e = 0) and |e - 1| (e = 1) is held to IDEM_TOL, in that order."""
     vertices = e.source.quiver.vertices
-    sq_defect = max(
-        (float(np.linalg.norm(e.mats[v] @ e.mats[v] - e.mats[v])) for v in vertices),
-        default=0.0,
-    )
-    id_defect = float(
-        np.sqrt(sum(np.linalg.norm(e.mats[v] - np.eye(e.source.dims[v])) ** 2 for v in vertices))
-    )
-    return sq_defect, id_defect
+    sq_defect = max((float(np.linalg.norm(e.mats[v] @ e.mats[v] - e.mats[v])) for v in vertices), default=0.0)
+    if sq_defect > IDEM_TOL:
+        return f"not an idempotent: |e^2 - e| = {sq_defect:.3e} > {IDEM_TOL:g}"
+    if e.residual > IDEM_TOL:
+        return f"not an endomorphism: intertwining residual {e.residual:.3e} > {IDEM_TOL:g}"
+    if e.norm() <= IDEM_TOL:
+        return "e = 0 splits nothing; a nontrivial idempotent is required"
+    if np.sqrt(sum(np.linalg.norm(e.mats[v] - np.eye(e.source.dims[v])) ** 2 for v in vertices)) <= IDEM_TOL:
+        return "e = 1 splits nothing; a nontrivial idempotent is required"
+    return None
 
 
 class Decomposition(NamedTuple):
@@ -254,15 +236,9 @@ def decompose_with(r: Rep, e: Hom) -> Decomposition:
     each expressed in a deterministic orthonormal basis.  The witness is the
     basis-assembly isomorphism direct_sum(range, kernel) -> r.
     """
-    sq_defect, id_defect = idempotent_defects(e)
-    if sq_defect > IDEM_TOL:
-        raise PreconditionError(f"not an idempotent: |e^2 - e| = {sq_defect:.3e} > {IDEM_TOL:g}")
-    if e.residual > IDEM_TOL:
-        raise PreconditionError(f"not an endomorphism: intertwining residual {e.residual:.3e} > {IDEM_TOL:g}")
-    if e.norm() <= IDEM_TOL:
-        raise PreconditionError("e = 0 splits nothing; a nontrivial idempotent is required")
-    if id_defect <= IDEM_TOL:
-        raise PreconditionError("e = 1 splits nothing; a nontrivial idempotent is required")
+    fault = idempotent_fault(e)
+    if fault:
+        raise PreconditionError(fault)
 
     # Nonzero singular values of an idempotent are >= 1, so 0.5 splits cleanly.
     range_bases, kernel_bases = {}, {}

@@ -164,10 +164,10 @@ def format_quiver(q: Quiver) -> str:
 
 def format_rep(r: Rep) -> str:
     lines = [format_quiver(r.quiver).rstrip("\n")]
-    lines += [f"dim {v} = {r.dim(v)}" for v in r.quiver.vertices]
+    lines += [f"dim {v} = {r.dims[v]}" for v in r.quiver.vertices]
     for a in r.quiver.arrows:
-        if r.dim(a.src) > 0 and r.dim(a.dst) > 0:
-            lines.append(f"mat {a.name} = {format_matrix(r.mat(a.name))}")
+        if r.dims[a.src] > 0 and r.dims[a.dst] > 0:
+            lines.append(f"mat {a.name} = {format_matrix(r.mats[a.name])}")
     return "\n".join(lines) + "\n"
 
 
@@ -175,7 +175,7 @@ def format_hom(h: Hom) -> str:
     """Vertex-indexed matrix family in the same matrix-literal syntax."""
     lines = []
     for v in h.source.quiver.vertices:
-        m = h.mat(v)
+        m = h.mats[v]
         if m.size:
             lines.append(f"hom {v} = {format_matrix(m)}")
     return "\n".join(lines) + ("\n" if lines else "")

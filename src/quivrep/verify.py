@@ -113,9 +113,8 @@ def suite_reflection(trials: int, seed: int) -> list[Check]:
         r = _random_rep(kq, {"1": d1, "2": d2}, rng)
         direct = reflection.reflect_source(r, "1")
         via = reflection.dual(reflection.reflect_sink(reflection.dual(r), "1").rep)
-        same_dims = all(direct.rep.dim(v) == via.dim(v) for v in via.quiver.vertices)
-        same_mats = same_dims and all(
-            np.array_equal(direct.rep.mat(a.name), via.mat(a.name))
+        same_mats = direct.rep.dims == via.dims and all(
+            np.array_equal(direct.rep.mats[a.name], via.mats[a.name])
             for a in via.quiver.arrows
         )
         ok = ok and same_mats
@@ -130,7 +129,7 @@ def suite_reflection(trials: int, seed: int) -> list[Check]:
         res = reflection.reflect_sink(r, "2")
         t = reflection.transport_hom(res, res, rep.identity_hom(r))
         for v in res.rep.quiver.vertices:
-            worst = max(worst, float(np.linalg.norm(t.mat(v) - np.eye(res.rep.dim(v)))))
+            worst = max(worst, float(np.linalg.norm(t.mats[v] - np.eye(res.rep.dims[v]))))
         ok = ok and worst <= 1e-10
     checks.append(Check("transport carries identity to identity", ok,
                         f"max_defect={fmt_real(worst)}"))
@@ -155,7 +154,7 @@ def _exhaustive_cycle(n: int):
             r = cyclic.cycle_rep(dims, scalars)
             crit = cyclic.cn_transitive_criterion(r)
             eb = hom.end_basis(r)
-            direct = eb.dim == 1 and not r.is_zero
+            direct = eb.dim == 1
             total += 1
             agree += crit == direct
             transitive += direct
@@ -260,15 +259,6 @@ def suite_operator(trials: int, seed: int) -> list[Check]:
     checks.append(Check("shift-plus-rank-one operator has trivial kernel", ok,
                         f"sigma_min={fmt_real(float(s[-1]))}"))
 
-    aseq, bseq = opmodels.parity_weight_pair(3.0)
-    pair = opmodels.kron_pair_bilateral(aseq, bseq, 4)
-    sa = np.linalg.svd(pair.a, compute_uv=False)
-    rank_b = int(np.count_nonzero(np.diagonal(pair.b, -1)))  # exact: a shift with nonzero weights
-    zero = opmodels.log_mk(aseq, bseq, -2, -2, 8)
-    ok = bool(sa[-1] > 0) and rank_b == pair.n - 1 and zero == 0.0
-    checks.append(Check("bilateral window keeps the diagonal invertible", ok,
-                        f"rank_b={rank_b} log_mk_equal_args={fmt_real(zero)}"))
-
     si = opmodels.is_strongly_irreducible(opmodels.jordan_block(3), seed=seed)
     sr = opmodels.is_strongly_irreducible(np.diag([1.0, 2.0]), seed=seed)
     ok = si.strongly_irreducible and not sr.strongly_irreducible
@@ -329,9 +319,9 @@ def suite_builders(trials: int, seed: int) -> list[Check]:
 
     r = builders.build_extended_dynkin("e8tilde", np.zeros((1, 1), dtype=complex))
     want = {"0": 6, "1": 5, "2": 4, "3": 3, "4": 2, "5": 1, "1'": 4, "2'": 2, "1''": 3}
-    ok = all(r.dim(v) == want[v] for v in want) and hom.end_basis(r).dim == 1
+    ok = r.dims == want and hom.end_basis(r).dim == 1
     checks.append(Check("smallest eight-arm instance has the published dimension vector",
-                        ok, "dims=" + ",".join(str(r.dim(v)) for v in r.quiver.vertices)))
+                        ok, "dims=" + ",".join(str(d) for d in r.dims.values())))
     return checks
 
 

@@ -26,7 +26,7 @@ from quivrep import (
 )
 from quivrep.cyclic import cn_transitive_criterion, cycle_quiver, cycle_rep
 from quivrep.hom import end_basis, find_isomorphism, is_indecomposable, is_transitive
-from quivrep.opmodels import jordan_block, parity_weight_pair
+from quivrep.opmodels import SequenceSpec, jordan_block
 from quivrep.quiver import an_quiver, kronecker_quiver, new_quiver, opposite
 from quivrep.reflection import (
     dual,
@@ -215,7 +215,7 @@ def test_07_extended_families_reproduce_the_operator():
 
     t0 = time.monotonic()
     big = build_extended_dynkin("e8tilde", jordan_block(4))
-    assert big.dim("0") == 24
+    assert big.dims["0"] == 24
     assert end_basis(big).dim == 4
     assert time.monotonic() - t0 < 5.0
 
@@ -253,7 +253,7 @@ def test_09_doubling_map_kernel_and_surjectivity():
 
 
 def test_10_parity_weight_ratio_products_are_unbounded():
-    a_seq, b_seq = parity_weight_pair(3.0)
+    a_seq, b_seq = (SequenceSpec("exp-neg-pow", lam=3.0, parity=p) for p in ("even", "odd"))
     for m in range(-4, 5):
         for n in range(-4, 5):
             if m == n:

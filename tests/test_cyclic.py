@@ -129,8 +129,8 @@ def test_reduce_zero_vertex_worked_example():
     small = qr.reduce_zero_vertex(r, 2)
     assert small.quiver.vertices == ("1", "2")
     assert small.dim_vector == (1, 1)
-    assert np.array_equal(small.mat("a1"), np.zeros((1, 1)))
-    assert np.array_equal(small.mat("a2"), np.array([[2.0 + 0j]]))
+    assert np.array_equal(small.mats["a1"], np.zeros((1, 1)))
+    assert np.array_equal(small.mats["a2"], np.array([[2.0 + 0j]]))
 
 
 def test_reduce_zero_vertex_at_position_one():
@@ -138,7 +138,7 @@ def test_reduce_zero_vertex_at_position_one():
     small = qr.reduce_zero_vertex(r, 1)
     assert small.dim_vector == (1, 1)
     # old arrow 2 -> 3 survives; the wrap through the deleted vertex is zero
-    flat = sorted(abs(complex(small.mat(a.name)[0, 0])) for a in small.quiver.arrows)
+    flat = sorted(abs(complex(small.mats[a.name][0, 0])) for a in small.quiver.arrows)
     assert flat == [0.0, 3.0]
 
 
@@ -161,7 +161,7 @@ def test_reduce_zero_vertex_preserves_end_dim():
                 # arrow i runs from position i to i + 1 (0-based); arrow k - 1 goes with the vertex
                 kept = [i for i in range(n) if i != k - 1]
                 for j, i in enumerate(kept):
-                    got = small.mat(f"a{j + 1}")
+                    got = small.mats[f"a{j + 1}"]
                     if i == (k - 2) % n:  # into the removed vertex: now a zero map to its successor
                         assert got.shape == (dims[k % n], dims[i]) and not got.any()
                     else:

@@ -52,21 +52,21 @@ def oracle_hom_dim(r1, r2):
     q = r1.quiver
     index = {}
     for v in q.vertices:
-        for i in range(r2.dim(v)):
-            for j in range(r1.dim(v)):
+        for i in range(r2.dims[v]):
+            for j in range(r1.dims[v]):
                 index[(v, i, j)] = len(index)
     nvars = len(index)
     rows = []
     for a in q.arrows:
-        f = r1.mat(a.name)
-        g = r2.mat(a.name)
+        f = r1.mats[a.name]
+        g = r2.mats[a.name]
         # sum_k T[dst][i,k] f[k,j] - sum_k g[i,k] T[src][k,j] = 0
-        for i in range(r2.dim(a.dst)):
-            for j in range(r1.dim(a.src)):
+        for i in range(r2.dims[a.dst]):
+            for j in range(r1.dims[a.src]):
                 row = [Fraction(0)] * nvars
-                for k in range(r1.dim(a.dst)):
+                for k in range(r1.dims[a.dst]):
                     row[index[(a.dst, i, k)]] += Fraction(int(round(f[k, j].real)))
-                for k in range(r2.dim(a.src)):
+                for k in range(r2.dims[a.src]):
                     row[index[(a.src, k, j)]] -= Fraction(int(round(g[i, k].real)))
                 if any(x != 0 for x in row):
                     rows.append(row)
@@ -244,7 +244,7 @@ def test_rep_matrices_and_end_stacks_are_read_only(rng):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
     for c in copies:  # a copy is a new Rep: it solves its own End
-        assert np.array_equal(c.mats["a"], r.mats["a"]) and c._end is None
+        assert np.array_equal(c.mats["a"], r.mats["a"]) and "end" not in c._kept
 
 
 def test_stacked_residual_is_the_largest_per_hom_residual(rng):
@@ -290,7 +290,7 @@ def test_idempotent_found_on_disguised_direct_sum(rng):
     e = qr.find_nontrivial_idempotent(qr.end_basis(hidden), seed=5)
     assert e is not None
     for v in ("1", "2"):
-        m = e.mat(v)
+        m = e.mats[v]
         assert np.linalg.norm(m @ m - m) <= 1e-8
 
 
@@ -329,9 +329,51 @@ def test_trace_form_certifies_a_sum_of_jordan_blocks(monkeypatch, family, sizes,
         assert (verdict.kind, verdict.semisimple_dim) == ("decomposable", semisimple)
         e = verdict.witness
         assert e is not None
-        sq_defect, id_defect = rep.idempotent_defects(e)
-        assert sq_defect <= 1e-8 and e.residual <= 1e-8
-        assert e.norm() > 1e-8 and id_defect > 1e-8
+        assert rep.idempotent_fault(e) is None
+
+
+def _count_draws(monkeypatch) -> list:
+    """Wrap the search's random draws; the returned list grows by one per draw."""
+    draws, real = [], hom_module._random_element
+    monkeypatch.setattr(hom_module, "_random_element", lambda hb, rng: draws.append(1) or real(hb, rng))
+    return draws
+
+
+def test_the_idempotent_search_moves_past_each_failed_draw(monkeypatch):
+    # draw 1: eigvals fails; 2: one cluster; 3: the projection fails; 4: the
+    # projection is the identity, which idempotent_fault rejects as e = 1; 5: a witness
+    eb = qr.end_basis(qr.build_extended_dynkin("d4tilde", np.diag([1.0, 2.0])))
+    draws = _count_draws(monkeypatch)
+    real_eigvals, real_cluster = np.linalg.eigvals, linalg.cluster_eigenvalues
+    real_projection, real_fault = linalg.spectral_projection, hom_module.idempotent_fault
+    faults = []
+
+    def eigvals(a):
+        if len(draws) == 1:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return real_eigvals(a)
+
+    def projection(a, centroids, chosen):
+        if len(draws) == 3:
+            raise np.linalg.LinAlgError("no projection")
+        return np.eye(len(a)) if len(draws) == 4 else real_projection(a, centroids, chosen)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(linalg, "cluster_eigenvalues",
+                        lambda eigs: [list(range(len(eigs)))] if len(draws) == 2 else real_cluster(eigs))
+    monkeypatch.setattr(linalg, "spectral_projection", projection)
+    monkeypatch.setattr(hom_module, "idempotent_fault", lambda e: faults.append(real_fault(e)) or faults[-1])
+    e = qr.find_nontrivial_idempotent(eb, seed=0)
+    assert len(draws) == 5 and e is not None and rep.idempotent_fault(e) is None
+    assert faults == ["e = 1 splits nothing; a nontrivial idempotent is required", None]
+
+
+def test_the_idempotent_search_gives_none_after_its_trials(monkeypatch):
+    eb = qr.end_basis(qr.build_extended_dynkin("d4tilde", np.diag([1.0, 2.0])))
+    draws = _count_draws(monkeypatch)
+    monkeypatch.setattr(linalg, "cluster_eigenvalues", lambda eigs: [list(range(len(eigs)))])
+    assert qr.find_nontrivial_idempotent(eb, seed=0) is None
+    assert len(draws) == hom_module.IDEM_TRIALS
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -396,11 +438,21 @@ def test_find_isomorphism_rejects_different_dim_vectors(rng):
     assert qr.find_isomorphism(r1, r2) is None
 
 
-def test_find_isomorphism_distinguishes_nonisomorphic_pairs():
+def test_find_isomorphism_distinguishes_nonisomorphic_pairs(monkeypatch):
     q = qr.kronecker_quiver()
     r1 = qr.new_rep(q, {"1": 1, "2": 1}, {"a": [[1.0]], "b": [[0.0]]})
     r2 = qr.new_rep(q, {"1": 1, "2": 1}, {"a": [[0.0]], "b": [[1.0]]})
     assert qr.find_isomorphism(r1, r2) is None
+    # one dimension vector on two quivers
+    assert qr.find_isomorphism(r1, qr.new_rep(qr.an_quiver(2), {"1": 1, "2": 1}, {"e1": [[1.0]]})) is None
+    # Hom(C -1-> C, C -0-> C) is spanned by T = (1, 0): every draw fails
+    a2 = qr.an_quiver(2)
+    r1 = qr.new_rep(a2, {"1": 1, "2": 1}, {"e1": [[1.0]]})
+    r2 = qr.new_rep(a2, {"1": 1, "2": 1}, {"e1": [[0.0]]})
+    assert qr.hom_basis(r1, r2).dim == 1
+    draws = _count_draws(monkeypatch)
+    assert qr.find_isomorphism(r1, r2) is None
+    assert len(draws) == hom_module.ISO_TRIALS
 
 
 def test_zero_reps_are_isomorphic():

@@ -28,9 +28,11 @@ from quivrep.errors import PreconditionError
 from quivrep.hom import end_basis
 from quivrep.opmodels import (
     _ratio_logs,
-    parity_weight_pair,
     unilateral_shift,
 )
+
+# exp(-3**n) on even / odd n >= 1, else 1: the diagonal and shift weights of the bilateral pair
+PARITY_WEIGHTS = tuple(SequenceSpec("exp-neg-pow", lam=3.0, parity=p) for p in ("even", "odd"))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,7 @@ def test_shift_rank_one_preconditions():
 
 
 def test_bilateral_window_structure():
-    a_seq, b_seq = parity_weight_pair(3.0)
+    a_seq, b_seq = PARITY_WEIGHTS
     pair = kron_pair_bilateral(a_seq, b_seq, 2)
     assert pair.n == 5  # offsets -2..2
     assert np.allclose(np.diag(pair.a), [1.0, 1.0, 1.0, 1.0, math.exp(-9.0)])
@@ -214,18 +216,19 @@ def test_bilateral_window_structure():
 
 
 def test_bilateral_underflow_rejected():
-    a_seq, b_seq = parity_weight_pair(3.0)
-    # m = 6 keeps every weight a normal or subnormal nonzero float
-    kron_pair_bilateral(a_seq, b_seq, 6)
-    # m = 7 brings b(7) = exp(-3**7) = 0.0 into the window
-    with pytest.raises(PreconditionError):
-        kron_pair_bilateral(a_seq, b_seq, 7)
+    a_seq, b_seq = PARITY_WEIGHTS
+    # B drops b(m), so m = 7 reads b only up to b(6) and never b(7) = exp(-3**7) = 0.0
+    pair = kron_pair_bilateral(a_seq, b_seq, 7)
+    assert np.count_nonzero(np.diagonal(pair.b, -1)) == 14 and np.count_nonzero(pair.b) == 14
+    # m = 8 reads b(7); a constant diagonal leaves b(7) the only zero weight read
+    with pytest.raises(PreconditionError, match=r"b\(7\) is exactly zero"):
+        kron_pair_bilateral("seq:const:1", b_seq, 8)
     with pytest.raises(ValueError):
         kron_pair_bilateral(a_seq, b_seq, -1)
 
 
 def test_log_mk_values():
-    a_seq, b_seq = parity_weight_pair(3.0)
+    a_seq, b_seq = PARITY_WEIGHTS
     assert log_mk(a_seq, b_seq, 5, 5, 9) == 0.0
     assert log_mk("seq:const:2", "seq:const:2", -3, 4, 6) == 0.0
     # hand value: ratio logs are -3^j on odd j >= 1, +3^j on even j >= 1, 0 otherwise
@@ -240,7 +243,7 @@ def test_log_mk_values():
 def test_parity_weights_separate_every_offset_pair():
     # the whole point of lam = 3: every m != n in a small window is separated
     # by a ratio product of magnitude far beyond any fixed threshold
-    a_seq, b_seq = parity_weight_pair(3.0)
+    a_seq, b_seq = PARITY_WEIGHTS
     for m in range(-4, 5):
         for n in range(-4, 5):
             if m == n:
@@ -261,6 +264,12 @@ def test_density_poly_over_poly():
     # w ~ 1/n against lam -> 1: the ratio is square-summable, density fails
     v = density_criterion("seq:one-minus-pow:2", "seq:reciprocal")
     assert not v.dense and v.ratio_l2 is True and not v.heuristic
+    # a nonzero constant lam is the same class as lam -> 1
+    v = density_criterion("seq:const:2", "seq:reciprocal")
+    assert not v.dense and v.ratio_l2 is True and not v.heuristic
+    # a list is classified by its declared tail: w / lam ~ 1
+    v = density_criterion("seq:list:[1,2]:reciprocal", "seq:reciprocal")
+    assert v.dense and v.ratio_l2 is False and not v.heuristic
 
 
 def test_density_zero_lambda_blocks():
@@ -272,7 +281,7 @@ def test_density_zero_lambda_blocks():
 def test_density_parity_cases():
     assert density_criterion("seq:exp-neg-pow:2:even", "seq:reciprocal").dense
     assert density_criterion("seq:reciprocal", "seq:exp-neg-pow:2:even").dense
-    a_seq, b_seq = parity_weight_pair(3.0)
+    a_seq, b_seq = PARITY_WEIGHTS
     assert density_criterion(a_seq, b_seq).dense
 
 
@@ -435,6 +444,16 @@ def test_pairs_and_systems_are_read_only():
     s = SubspaceSystem(2, [inj], ("E1",))
     inj[0, 0] = 7.0
     assert np.array_equal(s.injections[0], np.eye(2))
+
+
+def test_operator_pair_rejects_what_it_cannot_use():
+    eye = np.eye(2)
+    for a, b in [(np.array([[np.nan]]), np.eye(1)),  # its system's SVD would not converge
+                 (eye, np.array([[0.0, np.inf], [0.0, 0.0]])),
+                 (np.ones((2, 3)), np.ones((2, 3))),  # a system, but no Kronecker rep
+                 (eye, np.eye(3)), (np.ones(2), np.ones(2))]:
+        with pytest.raises(ValueError, match="operator pair needs"):
+            OperatorPair(a, b)
 
 
 def test_phi_map_random_pairs():

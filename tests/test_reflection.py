@@ -22,11 +22,11 @@ def test_sink_kernel_of_ones_row_is_frozen_vector():
     q = qr.new_quiver(["1", "2", "3"], [("a", "1", "3"), ("b", "2", "3")])
     r = qr.new_rep(q, {"1": 1, "2": 1, "3": 1}, {"a": [[1.0]], "b": [[1.0]]})
     res = qr.reflect_sink(r, "3")
-    assert res.rep.dim("3") == 1
+    assert res.rep.dims["3"] == 1
     expected = np.array([[-0.7071067811865475], [0.7071067811865476]])
     assert np.array_equal(res.kernel_basis, expected)
-    assert np.array_equal(res.rep.mat("a~"), [[-0.7071067811865475]])
-    assert np.array_equal(res.rep.mat("b~"), [[0.7071067811865476]])
+    assert np.array_equal(res.rep.mats["a~"], [[-0.7071067811865475]])
+    assert np.array_equal(res.rep.mats["b~"], [[0.7071067811865476]])
     # unit norm and actual kernel membership, independent of sign conventions
     assert abs(np.linalg.norm(res.kernel_basis) - 1.0) < 1e-15
     assert abs(res.kernel_basis[0, 0] + res.kernel_basis[1, 0]) < 1e-15
@@ -47,7 +47,7 @@ def test_reflect_sink_reverses_and_marks_only_the_arrows_into_the_sink():
     plus = qr.reflect_sink(r, "2").rep
     assert [(a.name, a.src, a.dst) for a in plus.quiver.arrows] == [
         ("e1~", "2", "1"), ("e2~", "2", "3"), ("e3", "3", "4")]
-    assert np.array_equal(plus.mat("e3"), [[3.0]])
+    assert np.array_equal(plus.mats["e3"], [[3.0]])
     back = qr.reflect_source(plus, "2").rep
     assert [(a.name, a.src, a.dst) for a in back.quiver.arrows] == [
         (a.name, a.src, a.dst) for a in q.arrows]
@@ -93,8 +93,8 @@ def test_reflected_dimension_at_sink(rng):
     r = random_rep(q, {"1": 3, "2": 2}, rng)
     res = qr.reflect_sink(r, "2")
     # kernel of a full-rank 2x6 stacked map has dimension 4
-    assert res.rep.dim("2") == 4
-    assert res.rep.dim("1") == 3
+    assert res.rep.dims["2"] == 4
+    assert res.rep.dims["1"] == 3
 
 
 def test_dual_is_an_exact_involution(rng):
@@ -103,7 +103,7 @@ def test_dual_is_an_exact_involution(rng):
     back = qr.dual(qr.dual(r))
     assert back.quiver.vertices == r.quiver.vertices
     for a in ("a", "b"):
-        assert np.array_equal(back.mat(a), r.mat(a))
+        assert np.array_equal(back.mats[a], r.mats[a])
 
 
 def test_source_reflection_equals_dualized_sink_reflection(rng):
@@ -116,7 +116,7 @@ def test_source_reflection_equals_dualized_sink_reflection(rng):
         via = qr.dual(qr.reflect_sink(qr.dual(r), "1").rep)
         assert direct.dim_vector == via.dim_vector
         for a in direct.quiver.arrows:
-            assert np.array_equal(direct.mat(a.name), via.mat(a.name))
+            assert np.array_equal(direct.mats[a.name], via.mats[a.name])
 
 
 def test_fullness_predicates(rng):
@@ -135,7 +135,7 @@ def test_fullness_predicates(rng):
 def _rank_at_most_one(r):
     mats = {}
     for a in r.quiver.arrows:
-        m = r.mat(a.name)
+        m = r.mats[a.name]
         mats[a.name] = np.outer(m[:, 0], m[0, :]) if m.size else m
     return qr.new_rep(r.quiver, dict(r.dims), mats)
 
@@ -308,11 +308,11 @@ def test_a_reflection_is_made_once_per_rep(monkeypatch, rng):
                         lambda s, v, d: (d == "source" and made.append(v)) or real(s, v, d))
     plus, minus = qr.reflect_sink(r, "2"), qr.reflect_source(r, "1")
     assert qr.reflect_sink(r, "2") is plus and qr.reflect_source(r, "1") is minus
-    assert r._reflections == {("2", "sink"): plus, ("1", "source"): minus}
+    assert r._kept == {("2", "sink"): plus, ("1", "source"): minus}
     # verify_end_isomorphism reuses the reflections the caller made
     assert qr.verify_end_isomorphism(r, "2", "plus").ok
     assert qr.verify_end_isomorphism(r, "1", "minus").ok
-    assert made == ["1"] and len(r._reflections) == 2
+    assert made == ["1"] and r._kept.keys() - {"end"} == {("2", "sink"), ("1", "source")}
     # a different vertex is a reflection of its own
     assert qr.reflect_source(r, "3") is not minus and made == ["1", "3"]
 
@@ -327,14 +327,14 @@ def test_a_failing_reflection_keeps_nothing_and_raises_again():
         for reflect in (qr.reflect_sink, qr.reflect_source):
             with pytest.raises(ValueError, match="no vertex '9'"):
                 reflect(r, "9")
-    assert r._reflections == {}
+    assert r._kept == {}
 
 
 def test_copies_of_a_rep_start_with_no_reflections(rng):
     r = _two_sources(rng)
     plus = qr.reflect_sink(r, "2")
     for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
-        assert c._reflections == {}
+        assert c._kept == {}
         again = qr.reflect_sink(c, "2")
         assert again is not plus and np.array_equal(again.kernel_basis, plus.kernel_basis)
 
@@ -374,7 +374,7 @@ def test_transport_of_identity_is_identity(rng):
     res = qr.reflect_sink(r, "2")
     t = qr.transport_hom(res, res, qr.identity_hom(r))
     for v in ("1", "2"):
-        assert np.allclose(t.mat(v), np.eye(res.rep.dim(v)), atol=1e-12)
+        assert np.allclose(t.mats[v], np.eye(res.rep.dims[v]), atol=1e-12)
 
 
 def test_transport_matches_the_block_diagonal_product(rng):
@@ -394,8 +394,8 @@ def test_transport_matches_the_block_diagonal_product(rng):
             big[row : row + p.shape[0], col : col + p.shape[1]] = p
             row, col = row + p.shape[0], col + p.shape[1]
         want = res2.kernel_basis.conj().T @ big @ res1.kernel_basis
-        assert np.allclose(t.mat(v), want, rtol=0, atol=1e-12)
-        assert all(np.array_equal(t.mat(u), mats[u]) for u in q.vertices if u != v)
+        assert np.allclose(t.mats[v], want, rtol=0, atol=1e-12)
+        assert all(np.array_equal(t.mats[u], mats[u]) for u in q.vertices if u != v)
 
 
 def test_plus_minus_round_trip_on_indecomposable(rng):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ def test_new_rep_accepts_consistent_shapes():
     r = qr.new_rep(q, {"1": 1, "2": 1}, {"a": [[1.0]], "b": [[0.0]]})
     assert r.dim_vector == (1, 1)
     r2 = qr.new_rep(q, {"1": 2, "2": 1}, {"a": [[1.0, 0.0]], "b": [[0.0, 1.0]]})
-    assert r2.mat("a").shape == (1, 2)
+    assert r2.mats["a"].shape == (1, 2)
 
 
 def test_new_rep_rejects_wrong_shape():
@@ -35,8 +37,8 @@ def test_new_rep_requires_matrix_when_both_dims_positive():
 def test_zero_dim_vertices_get_empty_matrices():
     q = qr.kronecker_quiver()
     r = qr.new_rep(q, {"1": 2, "2": 0})
-    assert r.mat("a").shape == (0, 2)
-    assert r.mat("b").shape == (0, 2)
+    assert r.mats["a"].shape == (0, 2)
+    assert r.mats["b"].shape == (0, 2)
     assert not r.is_zero
     assert qr.zero_rep(q).is_zero
 
@@ -47,8 +49,8 @@ def test_direct_sum_blocks():
     r2 = qr.new_rep(q, {"1": 1, "2": 1}, {"a": [[0.0]], "b": [[1.0]]})
     s = qr.direct_sum(r1, r2)
     assert s.dim_vector == (2, 2)
-    assert np.array_equal(s.mat("a"), np.diag([1.0, 0.0]).astype(complex))
-    assert np.array_equal(s.mat("b"), np.diag([0.0, 1.0]).astype(complex))
+    assert np.array_equal(s.mats["a"], np.diag([1.0, 0.0]).astype(complex))
+    assert np.array_equal(s.mats["b"], np.diag([0.0, 1.0]).astype(complex))
 
 
 def test_direct_sum_with_zero_rep_keeps_matrices():
@@ -56,7 +58,7 @@ def test_direct_sum_with_zero_rep_keeps_matrices():
     r = qr.new_rep(q, {"1": 1, "2": 1}, {"a": [[2.0]], "b": [[3.0]]})
     s = qr.direct_sum(r, qr.zero_rep(q))
     assert s.dim_vector == r.dim_vector
-    assert np.array_equal(s.mat("a"), r.mat("a"))
+    assert np.array_equal(s.mats["a"], r.mats["a"])
 
 
 def test_direct_sum_dims_add(rng):
@@ -72,7 +74,7 @@ def test_conjugate_identity_is_identity(rng):
     r = random_rep(q, {"1": 2, "2": 2}, rng)
     same = qr.conjugate(r, {v: np.eye(2) for v in ("1", "2")})
     for a in ("a", "b"):
-        assert np.allclose(same.mat(a), r.mat(a))
+        assert np.allclose(same.mats[a], r.mats[a])
 
 
 def test_conjugate_round_trip(rng):
@@ -84,7 +86,7 @@ def test_conjugate_round_trip(rng):
     }
     back = qr.conjugate(qr.conjugate(r, phi), {v: np.linalg.inv(m) for v, m in phi.items()})
     for a in ("a", "b"):
-        assert np.allclose(back.mat(a), r.mat(a), rtol=1e-10, atol=1e-10)
+        assert np.allclose(back.mats[a], r.mats[a], rtol=1e-10, atol=1e-10)
 
 
 def test_conjugate_rejects_singular_map(rng):
@@ -148,14 +150,14 @@ def test_decompose_and_conjugate_with_a_zero_dimensional_vertex(rng):
     both = qr.direct_sum(r, r)
     phi = {"1": rng.standard_normal((2, 2)), "2": np.zeros((0, 0)), "3": rng.standard_normal((2, 2))}
     hidden = qr.conjugate(both, phi)
-    assert hidden.dim_vector == (2, 0, 2) and hidden.mat("b").shape == (2, 0)
+    assert hidden.dim_vector == (2, 0, 2) and hidden.mats["b"].shape == (2, 0)
     back = qr.conjugate(hidden, {v: np.linalg.inv(m) for v, m in phi.items()})
-    assert all(np.allclose(back.mat(a), both.mat(a), atol=1e-12) for a in ("a", "b"))
+    assert all(np.allclose(back.mats[a], both.mats[a], atol=1e-12) for a in ("a", "b"))
 
     half = np.diag([1.0, 0.0])
     parts = qr.decompose_with(both, qr.make_hom(both, both, {"1": half, "2": np.zeros((0, 0)), "3": half}))
     assert parts.first.dim_vector == parts.second.dim_vector == (1, 0, 1)
-    assert parts.witness.mat("2").shape == (0, 0)
+    assert parts.witness.mats["2"].shape == (0, 0)
     assert qr.is_invertible_hom(parts.witness) and parts.witness.residual <= 1e-12
 
 
@@ -175,7 +177,7 @@ def test_decompose_with_rejects_non_idempotent(rng):
     eb = qr.end_basis(r)
     h = eb.basis[0]
     scaled = qr.make_hom(r, r, {v: 3.7 * m for v, m in h.mats.items()})
-    if np.linalg.norm(scaled.mat("1") @ scaled.mat("1") - scaled.mat("1")) > 1e-6:
+    if np.linalg.norm(scaled.mats["1"] @ scaled.mats["1"] - scaled.mats["1"]) > 1e-6:
         with pytest.raises(qr.PreconditionError):
             qr.decompose_with(r, scaled)
 
@@ -208,3 +210,14 @@ def test_make_hom_rejects_a_block_for_a_vertex_it_lacks():
     r = qr.new_rep(qr.kronecker_quiver(), {"1": 1, "2": 1}, {"a": [[1.0]], "b": [[0.0]]})
     with pytest.raises(ValueError, match="unknown vertices"):
         qr.make_hom(r, r, {"1": np.eye(1), "3": np.eye(1)})
+
+
+def test_types_that_hold_arrays_compare_by_identity(rng):
+    r = random_rep(qr.kronecker_quiver(), {"1": 2, "2": 2}, rng)
+    pair = qr.OperatorPair(np.eye(2), qr.jordan_block(2))
+    objects = [r, qr.identity_hom(r), qr.end_basis(r), qr.reflect_sink(r, "2"), pair, pair.system,
+               qr.subspace_system_end(pair.system)]
+    for x in objects:
+        assert x in [x] and x == x
+    assert len(set(objects)) == len(objects)
+    assert copy.copy(r) not in [r]

@@ -79,7 +79,7 @@ def test_rep_round_trip_exact():
             assert again.quiver == r.quiver
             assert again.dims == r.dims
             for a in r.quiver.arrows:
-                assert np.array_equal(again.mat(a.name), r.mat(a.name))
+                assert np.array_equal(again.mats[a.name], r.mats[a.name])
 
 
 def test_rep_with_zero_vertex_needs_no_mat_line():
@@ -87,7 +87,7 @@ def test_rep_with_zero_vertex_needs_no_mat_line():
     text = format_rep(new_rep(q, {"1": 0, "2": 2}, {}))
     assert "mat" not in text
     r = parse_rep(text)
-    assert r.mat("a").shape == (2, 0)
+    assert r.mats["a"].shape == (2, 0)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -104,7 +104,7 @@ def test_comments_and_blank_lines_ignored():
     """
     r = parse_rep(text)
     assert r.quiver.name == "demo"
-    assert r.mat("a")[0, 0] == 2.0
+    assert r.mats["a"][0, 0] == 2.0
 
 
 def test_parse_quiver_ignores_dims_and_mats():

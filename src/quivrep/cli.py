@@ -132,14 +132,15 @@ def _base_report(args, echo: str) -> dict:
 def _cmd_analyze(args, echo):
     r = textio.parse_rep(_read(args.file))
     verdict = hom.is_indecomposable(r, seed=args.seed)
-    if not np.isfinite(verdict.max_residual):
+    max_residual = hom.end_basis(r).max_residual
+    if not np.isfinite(max_residual):
         raise OverflowError("the End basis's intertwining residual is not finite")
     report = _base_report(args, echo)
     report.update(
         quiver=r.quiver.name,
         dims=dict(r.dims),
         end_dim=verdict.end_dim,
-        max_residual=float(verdict.max_residual),
+        max_residual=float(max_residual),
         transitive=bool(verdict.end_dim == 1),
         indecomposable=verdict.indecomposable,
         verdict=verdict.kind,
@@ -269,7 +270,6 @@ def _cmd_opmodel(args, echo):
             "dense": v.dense,
             "weight_ratio_square_summable": v.ratio_l2,
             "reason": v.reason,
-            "heuristic": v.heuristic,
         }
     if args.four_subspace:
         system = opmodels.four_subspace_from_pair(pair)
@@ -369,6 +369,3 @@ def run(argv=None) -> int:
 def main(argv=None) -> None:
     raise SystemExit(run(argv))
 
-
-if __name__ == "__main__":
-    main()

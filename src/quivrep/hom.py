@@ -366,7 +366,6 @@ class IndecomposabilityVerdict:
     kind: str  # "zero" | "indecomposable" | "decomposable"
     end_dim: int
     witness: Hom | None = None
-    max_residual: float = 0.0  # of the End basis the verdict was read from
     semisimple_dim: int = 0  # rank of End's trace form: dim End / rad End
 
     @property
@@ -388,9 +387,9 @@ def is_indecomposable(r: Rep, seed: int = 0) -> IndecomposabilityVerdict:
     eb = end_basis(r)
     semisimple = eb.radical_complement.shape[1]
     if semisimple <= 1:
-        return IndecomposabilityVerdict("indecomposable", eb.dim, None, eb.max_residual, semisimple)
+        return IndecomposabilityVerdict("indecomposable", eb.dim, None, semisimple)
     witness = find_nontrivial_idempotent(eb, seed=seed)
-    return IndecomposabilityVerdict("decomposable", eb.dim, witness, eb.max_residual, semisimple)
+    return IndecomposabilityVerdict("decomposable", eb.dim, witness, semisimple)
 
 
 def find_isomorphism(r1: Rep, r2: Rep, seed: int = 0) -> Hom | None:

@@ -185,12 +185,8 @@ def parse_sequence(literal) -> SequenceSpec:
 # fixture operators
 
 
-def unilateral_shift(n: int) -> np.ndarray:
-    """S e_i = e_{i+1}, last basis vector mapped out of the window (dropped)."""
-    return np.eye(n, k=-1, dtype=complex)
-
-
 def jordan_block(n: int, lam: complex = 0.0) -> np.ndarray:
+    """lam I + S on C^n, S the shift e_i -> e_{i+1} with the last basis vector mapped out of the window."""
     return lam * np.eye(n, dtype=complex) + np.eye(n, k=-1, dtype=complex)
 
 
@@ -248,8 +244,8 @@ def kron_pair_shift_rank_one(lam, w, n: int) -> OperatorPair:
         )
     if np.any(w_vals == 0):
         raise PreconditionError("every w_n must be nonzero; a zero row weight breaks the construction")
-    a = unilateral_shift(n) @ np.diag(lam_vals) + np.outer(np.eye(n, dtype=complex)[0], w_vals)
-    b = unilateral_shift(n)
+    b = jordan_block(n)
+    a = b @ np.diag(lam_vals) + np.outer(np.eye(n, dtype=complex)[0], w_vals)
     return OperatorPair(a, b, tag="shift-rank-one")
 
 
@@ -307,17 +303,16 @@ class DensityVerdict:
     dense: bool
     ratio_l2: bool | None
     reason: str
-    heuristic: bool = False
 
 
 def _classify(spec: SequenceSpec):
-    """('poly', p) when |value| ~ n**p eventually; ('parity-exp', lam, parity); or None."""
+    """The tail class of |value|: ('poly', p) when it is ~ n**p eventually;
+    ('parity-exp', lam, parity); or ('hrr',).  A zero const never gets here:
+    `has_zero` catches it first."""
     if spec.family == "reciprocal":
         return ("poly", -1)
-    if spec.family == "one-minus-pow":
+    if spec.family in ("one-minus-pow", "const"):
         return ("poly", 0)
-    if spec.family == "const":
-        return ("poly", 0) if spec.const != 0 else None
     if spec.family == "exp-neg-pow":
         return ("parity-exp", spec.lam, spec.parity)
     if spec.family == "list":
@@ -326,41 +321,18 @@ def _classify(spec: SequenceSpec):
                 "an explicit list without a declared tail has undecidable tail behavior; declare a tail family"
             )
         return _classify(spec.tail)
-    return None  # hrr and anything else: no closed-form class
-
-
-def _ratio_logs(lam: SequenceSpec, w: SequenceSpec, terms: int) -> list[float]:
-    """log |w_i / lam_i|^2 for i = 1..terms, up to the first i where both logs saturate.
-
-    Past that index the difference says nothing (it would be inf - inf).
-    """
-    logs = []
-    for i in range(1, terms + 1):
-        lw, ll = w.log_abs(i), lam.log_abs(i)
-        if math.isinf(lw) and math.isinf(ll):
-            break
-        logs.append(2.0 * (lw - ll))
-    return logs
-
-
-def _heuristic_l2(lam: SequenceSpec, w: SequenceSpec, terms: int = 2000) -> tuple[bool, str]:
-    logs = _ratio_logs(lam, w, terms)
-    if max(logs, default=-math.inf) > math.log(1e12):
-        return False, f"ratio term exceeds 1e12 within {terms} indices"
-    scanned = len(logs)
-    total = sum(math.exp(x) for x in logs)
-    tail = sum(math.exp(x) for x in logs[scanned // 2 :])
-    if tail < 1e-9 * max(total, 1.0):
-        return True, f"partial sums stabilize within {scanned} indices"
-    return False, f"partial sums still growing after {scanned} indices"
+    return ("hrr",)
 
 
 def density_criterion(lam, w) -> DensityVerdict:
     """Decide density of the orbit construction from the weight sequences.
 
     Dense exactly when every lam_k is nonzero and (w_k / lam_k) is not
-    square-summable.  Named families are decided in closed form; otherwise a
-    flagged partial-sum heuristic answers.
+    square-summable.  Every family is decided in closed form from the tail
+    classes.  An hrr tail never gives a square-summable ratio: two hrr tails
+    make it eventually 1; an hrr lam has |lam_n| = exp(-n!) on odd n, which
+    falls faster than any other family's exp(-L**n); an hrr w has
+    |w_n| = exp(n!) on even n against a bounded lam.
     """
     lam = parse_sequence(lam)
     w = parse_sequence(w)
@@ -370,27 +342,24 @@ def density_criterion(lam, w) -> DensityVerdict:
         return DensityVerdict(False, None, "some lambda_k = 0, so the orbit misses a coordinate")
 
     cw, cl = _classify(w), _classify(lam)
-    if cw is not None and cl is not None:
-        if cw[0] == "poly" and cl[0] == "poly":
-            delta = cw[1] - cl[1]
-            l2 = 2 * delta < -1
-            reason = f"|w/lambda| ~ n^{delta}: " + ("square-summable" if l2 else "not square-summable")
-        elif cw[0] == "parity-exp" and cl[0] == "poly":
-            l2 = 2 * cl[1] > 1
-            reason = (
-                "off-parity ratio ~ n^%d is %s"
-                % (-cl[1], "square-summable" if l2 else "not square-summable")
-            )
-        elif cw[0] == "poly" and cl[0] == "parity-exp":
-            l2 = False
-            reason = "on-parity ratio grows like exp(+lam**n); not square-summable"
-        else:  # both parity-exp
-            l2 = False
-            reason = "parity weight ratios keep unit or growing magnitude on some parity class; not square-summable"
-        return DensityVerdict(not l2, l2, reason)
-
-    l2, why = _heuristic_l2(lam, w)
-    return DensityVerdict(not l2, l2, why, heuristic=True)
+    if cw == cl == ("hrr",):
+        l2, reason = False, "both tails are hrr, so |w/lambda| is eventually 1"
+    elif "hrr" in (cw[0], cl[0]):
+        l2, reason = False, "an hrr tail makes |w/lambda| grow like exp(n!) on one parity class"
+    elif cw[0] == "poly" and cl[0] == "poly":
+        delta = cw[1] - cl[1]
+        l2 = 2 * delta < -1
+        reason = f"|w/lambda| ~ n^{delta}: " + ("square-summable" if l2 else "not square-summable")
+    elif cw[0] == "parity-exp" and cl[0] == "poly":
+        l2 = 2 * cl[1] > 1
+        reason = "off-parity ratio ~ n^%d is %s" % (-cl[1], "square-summable" if l2 else "not square-summable")
+    elif cw[0] == "poly" and cl[0] == "parity-exp":
+        l2 = False
+        reason = "on-parity ratio grows like exp(+lam**n); not square-summable"
+    else:  # both parity-exp
+        l2 = False
+        reason = "parity weight ratios keep unit or growing magnitude on some parity class; not square-summable"
+    return DensityVerdict(not l2, l2, reason)
 
 
 # ---------------------------------------------------------------------------

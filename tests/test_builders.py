@@ -3,6 +3,7 @@
 import unittest
 
 import numpy as np
+import pytest
 
 from quivrep import (
     SubspaceSystem,
@@ -249,3 +250,14 @@ def test_block_injections_are_one_qr_each():
 
 if __name__ == "__main__":
     unittest.main()
+
+
+@pytest.mark.parametrize(
+    "labels, match",
+    [({}, "no assigned subspace"), ({"1": "F"}, "unknown subspace")],
+    ids=["vertex-without-subspace", "unknown-subspace-label"],
+)
+def test_subspace_inclusion_rep_rejects_bad_labels(labels, match):
+    system = SubspaceSystem(2, [np.eye(2)], ("E",))
+    with pytest.raises(ValueError, match=match):
+        subspace_inclusion_rep(system, new_quiver(["1"], []), labels)

@@ -487,3 +487,20 @@ def test_a_closed_stdout_is_a_usage_error_without_a_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2
     assert err.splitlines() == ["error: standard output was closed before the report was written"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, line",
+    [
+        (["verify", "--suite", "all", "--trials", "0"], 2, "err", "error: --trials must be >= 1, got 0"),
+        (["build", "--family", "d4tilde", "--op", "jordan:2:1:3"], 2, "err",
+         "error: operator literal 'jordan:2:1:3'; expected jordan:k[:lam]"),
+        (["opmodel", "--pair", "shift-rank-one", "--lambda", "seq:list:[0]:reciprocal", "--w", "seq:reciprocal",
+          "--n", "3", "--density"], 0, "out", "  weight_ratio_square_summable: none"),
+    ],
+    ids=["zero-trials", "jordan-literal-with-three-fields", "none-in-text"],
+)
+def test_rarely_taken_report_and_error_paths(capsys, argv, code, stream, line):
+    assert cli.run(argv) == code
+    captured = capsys.readouterr()
+    assert line in (captured.out if stream == "out" else captured.err).splitlines()

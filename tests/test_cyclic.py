@@ -193,3 +193,18 @@ def test_no_transitive_rep_with_a_big_vertex():
 
 if __name__ == "__main__":
     unittest.main()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: qr.cycle_quiver(0), "n >= 1"),
+        (lambda: qr.cycle_rep([1, 1], [1.0]), "need 2 arrow entries"),
+        (lambda: qr.cycle_rep([2, 1], [1.0, 1.0]), "scalar entry needs 1 -> 1"),
+        (lambda: qr.reduce_zero_vertex(qr.cycle_rep([0, 1, 1], [0.0, 1.0, 0.0]), 4), "position k"),
+    ],
+    ids=["no-vertex", "entry-count", "scalar-on-a-block", "position-out-of-range"],
+)
+def test_cyclic_rejects_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

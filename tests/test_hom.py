@@ -199,9 +199,10 @@ def test_is_indecomposable_computes_one_stacked_residual(monkeypatch):
     calls = _count_residuals(monkeypatch)
     verdict = qr.is_indecomposable(r)
     assert verdict.kind == "indecomposable" and verdict.end_dim == 3
-    assert len(calls) == 1
-    eb = qr.end_basis(r)  # the basis the verdict was read from, residual included
-    assert eb is qr.end_basis(r) and eb.max_residual == verdict.max_residual and len(calls) == 1
+    assert len(calls) == 0  # a verdict does not need the residual
+    eb = qr.end_basis(r)  # the basis the verdict was read from
+    assert eb is qr.end_basis(r) and eb.max_residual <= 1e-10 and len(calls) == 1
+    assert eb.max_residual == qr.end_basis(r).max_residual and len(calls) == 1
 
 
 def _star_rep(rng):
@@ -459,3 +460,20 @@ def test_zero_reps_are_isomorphic():
     q = qr.kronecker_quiver()
     iso = qr.find_isomorphism(qr.zero_rep(q), qr.zero_rep(q))
     assert iso is not None and iso.residual == 0.0
+
+
+_K = qr.kronecker_quiver()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: qr.hom_basis(qr.zero_rep(_K), qr.zero_rep(qr.an_quiver(2))), "same quiver"),
+        (lambda: qr.find_nontrivial_idempotent(qr.hom_basis(qr.zero_rep(_K), qr.new_rep(_K, {"1": 1}))),
+         "endomorphism basis"),
+    ],
+    ids=["hom-across-quivers", "idempotent-search-between-different-dims"],
+)
+def test_hom_rejects_what_it_cannot_solve(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

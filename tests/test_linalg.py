@@ -243,3 +243,18 @@ def test_qr_orthonormalize_takes_a_stack_matrix_by_matrix():
     stack[2, :, 2] = stack[2, :, 0]
     with pytest.raises(ValueError, match="dependent"):
         linalg.qr_orthonormalize(stack)
+
+
+def _zero_columns_are_copied():
+    a = np.zeros((3, 0), dtype=complex)
+    q = linalg.qr_orthonormalize(a)
+    return q.shape == (3, 0) and q is not a
+
+
+@pytest.mark.parametrize(
+    "holds",
+    [lambda: linalg.is_invertible(np.eye(2, 3)) is False, _zero_columns_are_copied],
+    ids=["non-square-is-not-invertible", "zero-columns-are-copied"],
+)
+def test_degenerate_shapes_take_the_early_return(holds):
+    assert holds()

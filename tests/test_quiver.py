@@ -292,3 +292,17 @@ def test_an_quiver_orientations():
 
 if __name__ == "__main__":
     unittest.main()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: qr.new_quiver([], []), "at least one vertex"),
+        (lambda: qr.an_quiver(0), "n >= 1"),
+        (lambda: qr.an_quiver(3, "<x"), "'>' or '<'"),
+    ],
+    ids=["no-vertex", "empty-path", "bad-orientation-character"],
+)
+def test_quiver_rejects_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

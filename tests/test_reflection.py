@@ -437,3 +437,23 @@ def test_orientation_sequences_exhaustive():
                 r = qr.reflect_source(r, v).rep  # PreconditionError unless v is a source now
             want = qr.an_quiver(n, target)
             assert [(a.src, a.dst) for a in r.quiver.arrows] == [(a.src, a.dst) for a in want.arrows]
+
+
+def _transport_across_directions():
+    r = qr.new_rep(qr.kronecker_quiver(), {"1": 1, "2": 1}, {"a": [[1.0]], "b": [[2.0]]})
+    reflection.transport_hom(qr.reflect_sink(r, "2"), qr.reflect_source(r, "1"), rep.identity_hom(r))
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        (_transport_across_directions, ValueError, "same vertex and direction"),
+        (lambda: reflection.verify_end_isomorphism(qr.zero_rep(qr.kronecker_quiver()), "2", "up"),
+         ValueError, "'plus' or 'minus'"),
+        (lambda: orientation_sequence_an(0, ""), qr.PreconditionError, "n >= 1"),
+    ],
+    ids=["transport-mismatched-reflections", "bad-direction", "empty-path"],
+)
+def test_reflection_rejects_malformed_input(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

@@ -221,3 +221,33 @@ def test_types_that_hold_arrays_compare_by_identity(rng):
         assert x in [x] and x == x
     assert len(set(objects)) == len(objects)
     assert copy.copy(r) not in [r]
+
+
+_K, _A2 = qr.kronecker_quiver(), qr.an_quiver(2)
+_K11 = rep.new_rep(_K, {"1": 1, "2": 1}, {"a": [[1.0]], "b": [[2.0]]})
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: rep.new_rep(_K, {"1": -1}), "negative"),
+        (lambda: rep.direct_sum(rep.zero_rep(_K), rep.zero_rep(_A2)), "same quiver"),
+        (lambda: rep.make_hom(rep.zero_rep(_K), rep.zero_rep(_A2), {}), "same quiver"),
+        (lambda: rep.make_hom(_K11, _K11, {"1": np.eye(2)}), "shape"),
+        (lambda: rep.conjugate(_K11, {"9": np.eye(1)}), "unknown vertex"),
+        (lambda: rep.conjugate(_K11, {"1": np.eye(2)}), "shape"),
+    ],
+    ids=["negative-dim", "direct-sum-across-quivers", "hom-across-quivers", "hom-block-shape",
+         "conjugate-unknown-vertex", "conjugate-block-shape"],
+)
+def test_rep_rejects_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_conjugate_gives_a_vertex_left_out_of_phi_the_identity(rng):
+    r = random_rep(_K, {"1": 2, "2": 3}, rng)
+    phi = rng.standard_normal((3, 3)) + 3 * np.eye(3)
+    c = rep.conjugate(r, {"2": phi})
+    for a in ("a", "b"):
+        assert np.allclose(c.mats[a], phi @ r.mats[a], rtol=1e-14, atol=0)

@@ -155,3 +155,17 @@ def test_format_hom_lists_nonempty_vertices():
     lines = text.strip().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("hom 1 = [[") and lines[1].startswith("hom 2 = [[")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("quiver\n", "'quiver' line needs a name"),
+        ("quiver Q\nvertex 1\nmat a [[1]]\n", "expected 'mat <arrow> = "),
+        ("quiver Q\nvertex 1\nmat a b = [[1]]\n", "single arrow identifier"),
+    ],
+    ids=["nameless-quiver", "mat-without-equals", "mat-with-two-ids"],
+)
+def test_scan_rejects_malformed_lines(text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_rep(text)

@@ -353,6 +353,9 @@ def run(argv=None) -> int:
     except OverflowError as e:
         print(f"error: a value leaves the double-precision range ({e})", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"error: the input needs more memory than is available ({e})", file=sys.stderr)
+        return 3
     finally:
         TOL.reset(token)
     try:

@@ -136,11 +136,10 @@ def _eliminate(rows: list, roots: list[str], d1, d2, ref: float, svd, eye: dict)
     in the order the pivots were taken.  `svd` returns the SVD of a term
     matrix; `eye` holds the identity matrices the terms share.
     """
-    sizes = {v: d2[v] * d1[v] for v in roots}
     roots, solved, pivots = list(roots), [], []
     while True:
         occurs = Counter(v for _, terms in rows for v in {t[0] for t in terms})
-        for u in sorted(roots, key=lambda v: (-sizes[v], occurs[v])):
+        for u in sorted(roots, key=lambda v: (-d2[v] * d1[v], occurs[v])):
             blocks = []
             for i, (_, terms) in enumerate(rows):
                 hits = [t for t in terms if t[0] == u]
@@ -246,14 +245,12 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
                 rows.append((a.name, terms))
 
     roots = [v for v in q.vertices if sizes[v]]
-    left, unknowns, solved, pivots = _eliminate(rows, roots, d1, d2, ref, svd, eye)
-    system, cols = _assemble(left, unknowns, sizes)
-    s, tol_used, vectors = linalg.nullspace_with_values(system, ref if pivots else 0.0, full_shape)
-    kept = s[s > tol_used]  # the gap is the smallest of these
-    if pivots and len(kept) and kept[-1] * PIVOT_TOL <= tol_used:
-        solved, pivots = [], []
-        system, cols = _assemble(rows, roots, sizes)
-        s, tol_used, vectors = linalg.nullspace_with_values(system, 0.0, full_shape)
+    for left, unknowns, solved, pivots in (_eliminate(rows, roots, d1, d2, ref, svd, eye), (rows, roots, [], [])):
+        system, cols = _assemble(left, unknowns, sizes)
+        s, tol_used, vectors = linalg.nullspace_with_values(system, ref if pivots else 0.0, full_shape)
+        kept = s[s > tol_used]  # the gap is the smallest of these
+        if not (pivots and len(kept) and kept[-1] * PIVOT_TOL <= tol_used):
+            break
     m = vectors.shape[1]
 
     if pivots and m:

@@ -93,14 +93,7 @@ def _blocks(a: np.ndarray):
     columns = connected_components(n, zip(edges[0].tolist(), edges[1].tolist()))
     if len(columns) == 1:
         return None
-    label = np.empty(n, dtype=int)
-    for i, b in enumerate(columns):
-        label[b] = i
-    rows = [[] for _ in columns]
-    first = np.flatnonzero(np.concatenate([[True], ~same]))  # each nonzero row's first entry
-    for i, b in zip(r[first].tolist(), label[c[first]].tolist()):
-        rows[b].append(i)
-    return list(zip(rows, columns))
+    return [(np.flatnonzero(nonzero[:, b].any(axis=1)), b) for b in columns]
 
 
 def nullspace_with_values(a, scale: float = 0.0, shape=None) -> tuple[np.ndarray, float, np.ndarray]:

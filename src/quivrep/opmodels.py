@@ -29,28 +29,27 @@ from .rep import Rep, new_rep
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A named weight sequence with exact log-magnitude evaluation.
+    """A weight sequence: an explicit 1-based prefix `values`, then a named family's rule.
 
-    Families:
+    Families, each with exact log-magnitude evaluation:
       reciprocal          1/n                      (n >= 1)
       one-minus-pow       1 - base**(-n)           (n >= 1, base > 1)
       exp-neg-pow         exp(-lam**n) when n >= 1 and n has the given
                           parity, else 1           (lam > 1)
       hrr                 1 for n <= 0, exp((-1)^n n!) for n >= 1
       const               the constant c
-      list                explicit 1-based prefix, then the declared tail
+      None                no tail: the prefix is the whole sequence
     """
 
-    family: str
+    family: str | None
     base: float = 2.0
     lam: float = 2.0
     parity: str = "even"
     const: complex = 1.0
     values: tuple = ()
-    tail: "SequenceSpec | None" = None
 
     def __post_init__(self):
-        if self.family not in ("reciprocal", "one-minus-pow", "exp-neg-pow", "hrr", "const", "list"):
+        if self.family not in ("reciprocal", "one-minus-pow", "exp-neg-pow", "hrr", "const", None):
             raise ValueError(f"unknown sequence family {self.family!r}")
         if self.family == "one-minus-pow" and not self.base > 1:
             raise ValueError(f"one-minus-pow needs base > 1, got {self.base}")
@@ -66,29 +65,28 @@ class SequenceSpec:
         want = 0 if self.parity == "even" else 1
         return n >= 1 and n % 2 == want
 
-    def _at(self, n: int) -> "SequenceSpec":
-        """The spec whose own rule gives entry n: past a list's prefix, its tail."""
+    def _in_prefix(self, n: int) -> bool:
+        """Whether the prefix holds entry n; otherwise raise unless the family's rule covers n."""
+        if 1 <= n <= len(self.values):
+            return True
+        if self.family is None:
+            raise ValueError(f"explicit list of length {len(self.values)} has no entry at n = {n} and no tail")
         if self.family in ("reciprocal", "one-minus-pow") and n < 1:
             raise ValueError(f"{self.family} is defined for n >= 1, got n = {n}")
-        if self.family != "list" or 1 <= n <= len(self.values):
-            return self
-        if self.tail is None:
-            raise ValueError(f"explicit list of length {len(self.values)} has no entry at n = {n} and no tail")
-        return self.tail._at(n)
+        return False
 
     def value(self, n: int) -> complex:
-        s = self._at(n)
-        if s.family == "reciprocal":
+        if self._in_prefix(n):
+            return complex(self.values[n - 1])
+        if self.family == "reciprocal":
             return 1.0 / n
-        if s.family == "one-minus-pow":
-            return 1.0 - s.base ** (-n)
-        if s.family == "exp-neg-pow":
-            return math.exp(-(s.lam**n)) if s._masked(n) else 1.0
-        if s.family == "hrr":
-            return math.exp(s.log_abs(n))
-        if s.family == "const":
-            return s.const
-        return complex(s.values[n - 1])
+        if self.family == "one-minus-pow":
+            return 1.0 - self.base ** (-n)
+        if self.family == "exp-neg-pow":
+            return math.exp(-(self.lam**n)) if self._masked(n) else 1.0
+        if self.family == "hrr":
+            return math.exp(self.log_abs(n))
+        return self.const
 
     def log_abs(self, n: int) -> float:
         """log |value(n)|; -inf marks a zero.  Never overflows.
@@ -96,45 +94,39 @@ class SequenceSpec:
         Where the log itself leaves the double range it saturates: hrr to
         +-inf once n! does, exp-neg-pow to -inf once lam**n does.
         """
-        s = self._at(n)
-        if s.family == "reciprocal":
+        if self._in_prefix(n) or self.family == "const":
+            a = abs(self.value(n))
+            return math.log(a) if a > 0 else -math.inf
+        if self.family == "reciprocal":
             return -math.log(n)
-        if s.family == "one-minus-pow":
-            return math.log1p(-(s.base ** (-n)))
-        if s.family == "exp-neg-pow":
-            if not s._masked(n):
+        if self.family == "one-minus-pow":
+            return math.log1p(-(self.base ** (-n)))
+        if self.family == "exp-neg-pow":
+            if not self._masked(n):
                 return 0.0
             try:
-                return -(float(s.lam) ** n)
+                return -(float(self.lam) ** n)
             except OverflowError:
                 return -math.inf
-        if s.family == "hrr":
-            if n <= 0:
-                return 0.0
-            try:
-                f = float(math.factorial(n))
-            except OverflowError:
-                f = math.inf
-            return f if n % 2 == 0 else -f
-        a = abs(s.value(n))  # const or list entry
-        return math.log(a) if a > 0 else -math.inf
+        if n <= 0:  # hrr
+            return 0.0
+        try:
+            f = float(math.factorial(n))
+        except OverflowError:
+            f = math.inf
+        return f if n % 2 == 0 else -f
 
     # -- structural queries used by the density analysis
 
     def has_zero(self) -> bool:
-        if self.family == "const":
-            return self.const == 0
-        if self.family == "list":
-            if any(complex(v) == 0 for v in self.values):
-                return True
-            return self.tail.has_zero() if self.tail is not None else False
-        return False
+        return any(complex(v) == 0 for v in self.values) or (self.family == "const" and self.const == 0)
 
 
 def parse_sequence(literal) -> SequenceSpec:
-    """Parse 'seq:<family>[:params]' literals (see SequenceSpec families).
+    """Parse 'seq:[list:[...]:]...<family>[:params]' literals (see SequenceSpec families).
 
-    Every number in the literal must be finite.
+    Each `list:[...]` extends the prefix past the entries already read, so an inner list's first entries are
+    shadowed; a literal that ends in a list has no tail.  Every number in the literal must be finite.
     """
     if isinstance(literal, SequenceSpec):
         return literal
@@ -147,37 +139,34 @@ def parse_sequence(literal) -> SequenceSpec:
     text = literal.strip()
     if not text.startswith("seq:"):
         raise ValueError(f"sequence literal must start with 'seq:', got {literal!r}")
-    body = text[len("seq:") :]
-    if body == "reciprocal":
-        return SequenceSpec("reciprocal")
-    if body == "hrr":
-        return SequenceSpec("hrr")
-    parts = body.split(":")
-    if parts[0] == "one-minus-pow" and len(parts) <= 2:
-        base = finite(float(parts[1])) if len(parts) == 2 else 2.0
-        return SequenceSpec("one-minus-pow", base=base)
-    if parts[0] == "exp-neg-pow":
-        if len(parts) != 3:
-            raise ValueError(f"exp-neg-pow literal needs 'seq:exp-neg-pow:<lam>:<even|odd>', got {literal!r}")
-        return SequenceSpec("exp-neg-pow", lam=finite(float(parts[1])), parity=parts[2])
-    if body.startswith("const:"):
-        return SequenceSpec("const", const=finite(complex(body[len("const:") :])))
-    if body.startswith("list:"):
+    body, values = text[len("seq:") :], ()
+    while body.startswith("list:"):
         rest = body[len("list:") :]
         if not rest.startswith("["):
             raise ValueError(f"list literal needs 'seq:list:[...]', got {literal!r}")
         close = rest.find("]")
         if close < 0:
             raise ValueError(f"unterminated list in {literal!r}")
-        inner = rest[1:close]
-        values = tuple(finite(complex(x.strip())) for x in inner.split(",") if x.strip() != "")
-        after = rest[close + 1 :]
-        tail = None
-        if after.startswith(":"):
-            tail = parse_sequence("seq:" + after[1:])
-        elif after:
-            raise ValueError(f"unexpected trailing text {after!r} in {literal!r}")
-        return SequenceSpec("list", values=values, tail=tail)
+        entries = tuple(finite(complex(x.strip())) for x in rest[1:close].split(",") if x.strip() != "")
+        values += entries[len(values) :]
+        body = rest[close + 1 :]
+        if not body:
+            return SequenceSpec(None, values=values)
+        if not body.startswith(":"):
+            raise ValueError(f"unexpected trailing text {body!r} in {literal!r}")
+        body = body[1:]
+    if body in ("reciprocal", "hrr"):
+        return SequenceSpec(body, values=values)
+    parts = body.split(":")
+    if parts[0] == "one-minus-pow" and len(parts) <= 2:
+        base = finite(float(parts[1])) if len(parts) == 2 else 2.0
+        return SequenceSpec("one-minus-pow", base=base, values=values)
+    if parts[0] == "exp-neg-pow":
+        if len(parts) != 3:
+            raise ValueError(f"exp-neg-pow literal needs 'seq:exp-neg-pow:<lam>:<even|odd>', got {literal!r}")
+        return SequenceSpec("exp-neg-pow", lam=finite(float(parts[1])), parity=parts[2], values=values)
+    if body.startswith("const:"):
+        return SequenceSpec("const", const=finite(complex(body[len("const:") :])), values=values)
     raise ValueError(f"unknown sequence literal {literal!r}")
 
 
@@ -315,12 +304,10 @@ def _classify(spec: SequenceSpec):
         return ("poly", 0)
     if spec.family == "exp-neg-pow":
         return ("parity-exp", spec.lam, spec.parity)
-    if spec.family == "list":
-        if spec.tail is None:
-            raise PreconditionError(
-                "an explicit list without a declared tail has undecidable tail behavior; declare a tail family"
-            )
-        return _classify(spec.tail)
+    if spec.family is None:
+        raise PreconditionError(
+            "an explicit list without a declared tail has undecidable tail behavior; declare a tail family"
+        )
     return ("hrr",)
 
 

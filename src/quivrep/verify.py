@@ -25,16 +25,9 @@ class Check:
     detail: str
 
 
-def _random_mats(q, dims, rng):
-    mats = {}
-    for a in q.arrows:
-        shape = (dims[a.dst], dims[a.src])
-        mats[a.name] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return mats
-
-
 def _random_rep(q, dims, rng):
-    return new_rep(q, dims, _random_mats(q, dims, rng))
+    shapes = {a.name: (dims[a.dst], dims[a.src]) for a in q.arrows}
+    return new_rep(q, dims, {name: rng.standard_normal(s) + 1j * rng.standard_normal(s) for name, s in shapes.items()})
 
 
 # ---------------------------------------------------------------- reflection

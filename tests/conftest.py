@@ -1,9 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quivrep.verify import _random_rep as random_rep  # noqa: F401
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a Python subprocess that imports quivrep."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}

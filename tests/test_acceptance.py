@@ -279,10 +279,10 @@ def test_11_every_orientation_of_a_path_is_reachable_by_source_flips():
             assert state == list(target), f"n={n}: reached {state}, wanted {list(target)}"
 
 
-def test_12_verification_suite_is_deterministic():
+def test_12_verification_suite_is_deterministic(src_env):
     cmd = [sys.executable, "-m", "quivrep", "verify", "--suite", "all", "--seed", "7"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=src_env)
+    second = subprocess.run(cmd, capture_output=True, env=src_env)
     assert first.returncode == 0, first.stdout.decode()[-2000:]
     assert second.returncode == 0
     assert first.stdout and first.stdout == second.stdout

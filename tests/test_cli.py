@@ -1,7 +1,6 @@
 """In-process tests of the command-line interface: exit codes and report shape."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -379,6 +378,28 @@ def test_non_finite_sequence_number_is_a_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error: non-finite number")
 
 
+def test_a_deeply_nested_list_literal_reads_like_the_flat_one(capsys):
+    reports = []
+    for w in ("seq:" + "list:[1]:" * 3000 + "reciprocal", "seq:list:[1]:reciprocal"):
+        code, report = run_json(capsys, ["opmodel", "--pair", "shift-rank-one", "--lambda", w,
+                                         "--w", "seq:const:1", "--n", "3", "--density"])
+        assert code == 0
+        del report["command"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_an_input_that_exhausts_memory_is_a_precondition_failure(rep_file, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 381. GiB for an array with shape (160000, 160000)")
+
+    monkeypatch.setattr(hom, "_assemble", exhausted)
+    assert cli.run(["analyze", rep_file(KRONECKER_REP)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("w, n", [("seq:hrr", "7"), ("seq:exp-neg-pow:3:odd", "700")])
 def test_weight_overflow_is_a_precondition_failure(capsys, w, n):
     argv = ["opmodel", "--pair", "bilateral", "--lambda", "seq:const:1", "--w", w, "--n", n]
@@ -478,11 +499,9 @@ def test_tol_reaches_the_cycle_criterion(rep_file, capsys):
     assert TOL.get() == 1e-9
 
 
-def test_a_closed_stdout_is_a_usage_error_without_a_traceback():
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def test_a_closed_stdout_is_a_usage_error_without_a_traceback(src_env):
     proc = subprocess.Popen([sys.executable, "-m", "quivrep", "verify", "--suite", "all", "--seed", "7", "--format", "json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env, text=True)
     proc.stdout.close()  # the reader leaves before the report is written
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2

@@ -301,10 +301,25 @@ def test_the_arm_pick_finds_arms_that_fill_their_head():
     assert eb.system_shape == (9, 9) and [p.arrows for p in eb.pivots] == [("b",)]
 
 
-def test_a_plan_whose_gap_nears_the_cutoff_is_dropped():
+def test_a_plan_whose_gap_nears_the_cutoff_is_dropped(monkeypatch):
+    shapes = []
+    factor = linalg.nullspace_with_values
+
+    def spy(a, *args):
+        shapes.append(np.shape(a))
+        return factor(a, *args)
+
+    monkeypatch.setattr(linalg, "nullspace_with_values", spy)
     r, _, _ = _case("star-singular-arms")
     eb = end_basis(r)
-    assert eb.pivots == () and eb.system_shape == _full_hom_system(r, r).shape
+    full = _full_hom_system(r, r).shape
+    assert eb.pivots == () and eb.system_shape == full
+    # the plan is factored, then the full system as it stands
+    assert len(shapes) == 2 and shapes[0] != full and shapes[1] == full
+    shapes.clear()
+    r, _, _ = _case("kronecker-jordan")
+    eb = end_basis(r)
+    assert eb.pivots and shapes == [eb.system_shape]  # a kept plan factors once
 
 
 def test_without_isometric_arrows_the_basis_is_the_full_nullspace():

@@ -47,9 +47,9 @@ def test_traced_functions_resolve():
     assert missing == []
 
 
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy(src_env):
     code = "import quivrep, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env)
     assert out.stdout.strip() == "[]"
 
 
@@ -66,11 +66,11 @@ def _local_end_rep(tmp_path) -> str:
     # a decomposable End: the witness comes from the numpy-only sign-function projection
     (lambda _: str(ROOT / "tests" / "golden" / "inputs" / "kron-split.txt"), "decomposable"),
 ], ids=["local-end", "kron-split"])
-def test_analyze_does_not_load_scipy(tmp_path, rep_path, verdict):
+def test_analyze_does_not_load_scipy(tmp_path, src_env, rep_path, verdict):
     code = ("import runpy, sys\n"
             "try:\n    runpy.run_module('quivrep', run_name='__main__')\n"
             "except SystemExit as e:\n    print(e.code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, "analyze", rep_path(tmp_path)], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=src_env)
     assert f"verdict: {verdict}" in out.stdout
     assert out.stdout.splitlines()[-1] == "0 []"

@@ -196,7 +196,12 @@ def test_a_split_system_factors_like_one_dense_svd():
     eps = np.finfo(float).eps
     for _ in range(30):
         a, kernel = _permuted_block_diagonal(rng)
-        assert linalg._blocks(a) is not None
+        blocks = linalg._blocks(a)
+        assert blocks is not None
+        for rows, cols in blocks:
+            # exactly the rows nonzero in the block's columns, in increasing order, and nonzero nowhere else
+            assert list(rows) == [i for i in range(a.shape[0]) if any(a[i, j] != 0 for j in cols)]
+            assert not a[np.ix_(rows, np.setdiff1d(np.arange(a.shape[1]), cols))].any()
         s, cutoff, vectors = linalg.nullspace_with_values(a)
         dense = np.linalg.svd(a, compute_uv=False)
         assert s.shape == dense.shape and np.all(np.diff(s) <= 0)

@@ -87,6 +87,14 @@ def test_sequence_values():
     assert lst.value(1) == 5.0
     assert lst.value(2) == 6.0
     assert lst.value(3) == 1.0 / 3
+    # past the outer prefix an inner list reads the same n: its first entries are shadowed
+    assert parse_sequence("seq:list:[5]:list:[0,7]:reciprocal") == parse_sequence("seq:list:[5,7]:reciprocal")
+    shadowed, flat = parse_sequence("seq:list:[1,2]:list:[0]:reciprocal"), parse_sequence("seq:list:[1,2]:reciprocal")
+    assert shadowed == flat and not shadowed.has_zero()
+    assert density_criterion(shadowed, "seq:reciprocal") == density_criterion(flat, "seq:reciprocal")
+    assert density_criterion("seq:reciprocal", shadowed) == density_criterion("seq:reciprocal", flat)
+    # nesting is read in a loop, so depth is no limit
+    assert parse_sequence("seq:" + "list:[1]:" * 3000 + "reciprocal") == parse_sequence("seq:list:[1]:reciprocal")
 
     const = parse_sequence("seq:const:2.5")
     assert const.value(100) == 2.5
@@ -125,6 +133,7 @@ def test_sequence_errors():
         ("seq:one-minus-pow:2", 0, "one-minus-pow is defined for n >= 1, got n = 0"),
         ("seq:list:[1,2]", 3, "explicit list of length 2 has no entry at n = 3 and no tail"),
         ("seq:list:[1]:list:[2]", 3, "explicit list of length 1 has no entry at n = 3 and no tail"),
+        ("seq:list:[1,2,3]:list:[5]", 4, "explicit list of length 3 has no entry at n = 4 and no tail"),
         ("seq:list:[2]:reciprocal", 0, "reciprocal is defined for n >= 1, got n = 0"),
     ]:
         spec = parse_sequence(literal)
@@ -134,6 +143,9 @@ def test_sequence_errors():
             assert str(excinfo.value) == message
     with pytest.raises(ValueError):
         SequenceSpec("not-a-family")
+    # a parse error names the whole literal, also past a list prefix
+    with pytest.raises(ValueError, match=r"^unknown sequence literal 'seq:list:\[1\]:nope'$"):
+        parse_sequence("seq:list:[1]:nope")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Intertwiner spaces: basis computation, transitivity, idempotents, isomorphisms.
 
 The space Hom(r1, r2) = { (T_v) : T_dst f_a = g_a T_src for every arrow } is
-the nullspace of one stacked linear system, one row block per arrow.  Before
-anything is assembled, one block-pivot elimination (see `hom_basis`) solves
-for every vertex block that some row blocks determine; only the rows and
-unknowns left are assembled and factored.
+the nullspace of one stacked linear system, one row block per arrow.  From
+SPLIT_MIN_COLS columns on, one block-pivot elimination (see `hom_basis`) solves
+first for the blocks that others determine; a smaller system is factored whole.
 """
 
 from __future__ import annotations
@@ -129,13 +128,20 @@ def _pivot_blocks(width: int, blocks: list, ref: float, svd) -> list[_Candidate]
     return taken if best_lo > PIVOT_TOL * max(hi, ref) else None
 
 
-def _eliminate(rows: list, roots: list[str], d1, d2, ref: float, svd, eye: dict):
+def _eliminate(rows: list, roots: list[str], d1, d2, ref: float, eye: dict):
     """Take pivots until none qualifies: (rows left, roots left, solved, pivots).
 
     `solved` lists (u, terms of T_u over the roots left when u was solved for),
-    in the order the pivots were taken.  `svd` returns the SVD of a term
-    matrix; `eye` holds the identity matrices the terms share.
+    in the order the pivots were taken.  `eye` holds the identity matrices the
+    terms share; each term matrix is factored at most once.
     """
+    # id(m) -> (m, SVD of m), holding m so that its id stays unique; identities are known
+    svds = {id(i): (i, (i, np.ones(len(i)), i)) for i in eye.values()}
+
+    def svd(m):
+        if id(m) not in svds:
+            svds[id(m)] = (m, np.linalg.svd(m))
+        return svds[id(m)][1]
     roots, solved, pivots = list(roots), [], []
     while True:
         occurs = Counter(v for _, terms in rows for v in {t[0] for t in terms})
@@ -185,32 +191,34 @@ def _assemble(rows: list, roots: list[str], sizes) -> tuple[np.ndarray, dict[str
     system = np.zeros((sum(t[0][1].shape[0] * t[0][2].shape[1] for _, t in rows), sum(sizes[v] for v in roots)),
                       dtype=complex)
     row = 0
-    for _, terms in rows:
-        p = terms[0][1].shape[0] * terms[0][2].shape[1]
-        for v, l, r in terms:  # vec(L T R) = kron(L, R^T) vec(T), row-major
-            system[row : row + p, cols[v] : cols[v] + sizes[v]] += (
-                l[:, None, :, None] * r.T[None, :, None, :]).reshape(p, sizes[v])
-        row += p
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the factorization to report
+        for _, terms in rows:
+            p = terms[0][1].shape[0] * terms[0][2].shape[1]
+            for v, l, r in terms:  # vec(L T R) = kron(L, R^T) vec(T), row-major
+                system[row : row + p, cols[v] : cols[v] + sizes[v]] += (
+                    l[:, None, :, None] * r.T[None, :, None, :]).reshape(p, sizes[v])
+            row += p
     return system, cols
 
 
 def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
-    """Orthonormal basis of Hom(r1, r2), by block-pivot elimination.
+    """Orthonormal basis of Hom(r1, r2), by block-pivot elimination from SPLIT_MIN_COLS columns on.
 
-    Arrow a: u -> v gives the row block T_v f_a - g_a T_u = 0, kept as a list of
+    Below `linalg.SPLIT_MIN_COLS` columns the system is factored whole, and
+    planned only if that SVD overflows (the pivots may leave out what does).
+    Otherwise arrow a: u -> v gives the row block T_v f_a - g_a T_u = 0, kept as
     terms L T_root R over the blocks still unknown (the roots).  A pivot is a
     root u and row blocks j that hold u once, as L_j T_u R_j, with L_j of full
-    column rank and F = [R_j] square (see `_pivot_blocks`).  With L_j = U_j
-    S_j V_j* and U_j = [P_j K_j], the rows P_j* give T_u = -sum_j L_j^+ (rest of
-    block j) (F^-1)_j, which is substituted into the other row blocks, and the
-    rows K_j* of block j stay.  An isometric or injective g (L = g, R = 1) and
-    arms that fill their head (L = 1, R = [f_1 ... f_k]) are such pivots.
-    Roots are tried largest block first, then fewest row blocks, then in quiver
-    order, until none qualifies.  What is left is assembled and factored by
-    `linalg.nullspace_with_values`, one block of its nonzero pattern at a time,
-    with one cutoff relative to the full system's shape and, after a pivot, to
-    at least its largest entry; the nullspace is lifted back through the pivots
-    and re-orthonormalized.  With no pivot it is the plain Kronecker system.
+    column rank and F = [R_j] square (see `_pivot_blocks`).  With L_j = U_j S_j
+    V_j* and U_j = [P_j K_j], the rows P_j* give T_u = -sum_j L_j^+ (rest of
+    block j) (F^-1)_j, substituted into the other row blocks; the rows K_j* of
+    block j stay.  An isometric or injective g (L = g, R = 1) and arms that fill
+    their head (L = 1, R = [f_1 ... f_k]) are such pivots.  Roots are tried
+    largest block first, then fewest row blocks, then in quiver order, until
+    none qualifies.  What is left is factored by `linalg.nullspace_with_values`,
+    one block of its nonzero pattern at a time, with one cutoff relative to the
+    full system's shape and, after a pivot, to at least its largest entry; the
+    nullspace is lifted back through the pivots and re-orthonormalized.
 
     The pivots amplify rounding by up to 1/PIVOT_TOL, and a nullspace moves by
     about eps sigma_1 / gap under rounding, gap the smallest singular value
@@ -225,14 +233,6 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     offsets = dict(zip(q.vertices, accumulate(sizes.values(), initial=0)))
     full_shape = (sum(d2[a.dst] * d1[a.src] for a in q.arrows), sum(sizes.values()))
     eye = {n: np.eye(n) for n in {*d1.values(), *d2.values()}}
-    # id(m) -> (m, SVD of m), holding m so that its id stays unique; identities are known
-    svds = {id(i): (i, (i, np.ones(len(i)), i)) for i in eye.values()}
-
-    def svd(m):
-        if id(m) not in svds:
-            svds[id(m)] = (m, np.linalg.svd(m))
-        return svds[id(m)][1]
-
     rows = []  # (arrow name, terms): sum of L @ T_root @ R over the terms = 0
     ref = 0.0  # the largest entry of the full system: a lower bound on its norm
     for a in q.arrows:
@@ -245,9 +245,17 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
                 rows.append((a.name, terms))
 
     roots = [v for v in q.vertices if sizes[v]]
-    for left, unknowns, solved, pivots in (_eliminate(rows, roots, d1, d2, ref, svd, eye), (rows, roots, [], [])):
+    whole = (rows, roots, [], [])
+    plans = [whole] if full_shape[1] < linalg.SPLIT_MIN_COLS else [_eliminate(rows, roots, d1, d2, ref, eye), whole]
+    for left, unknowns, solved, pivots in plans:
         system, cols = _assemble(left, unknowns, sizes)
-        s, tol_used, vectors = linalg.nullspace_with_values(system, ref if pivots else 0.0, full_shape)
+        try:
+            s, tol_used, vectors = linalg.nullspace_with_values(system, ref if pivots else 0.0, full_shape)
+        except OverflowError:
+            if len(plans) > 1:  # a planned system, or the whole of a large one
+                raise
+            plans.append(_eliminate(rows, roots, d1, d2, ref, eye))  # the loop goes on to it
+            continue
         kept = s[s > tol_used]  # the gap is the smallest of these
         if not (pivots and len(kept) and kept[-1] * PIVOT_TOL <= tol_used):
             break

@@ -439,6 +439,16 @@ def test_analyze_near_the_top_of_the_double_range_answers_as_at_scale_one(rep_fi
         assert report["end_dim"] == 1 and report["verdict"] == "indecomposable"
 
 
+def test_a_system_that_overflows_as_it_is_assembled_warns_nothing(rep_file, src_env):
+    # the loop's two terms add 1e308 to 1e308; the one line is the factorization's
+    text = "quiver L\nvertex 1\narrow a: 1 -> 1\ndim 1 = 2\nmat a = [[1e308, 1e308]; [1e308, -1e308]]\n"
+    proc = subprocess.run([sys.executable, "-m", "quivrep", "analyze", rep_file(text)],
+                          capture_output=True, env=src_env, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_analyze_with_a_non_finite_residual_is_a_precondition_failure(rep_file, capsys, fmt):
     # End is solved, but its intertwining residual overflows to inf

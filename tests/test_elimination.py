@@ -9,13 +9,17 @@ representation.  Here every reduced answer is compared with the nullspace of
 the full system over all blocks, assembled in this file from
 `left_mult_matrix`/`right_mult_matrix` (for subspace systems: the projector
 stack kron(1 - P, P^T)) and factored with its own SVD.
+
+`hom_basis` plans only systems of at least SPLIT_MIN_COLS columns; most inputs
+here are smaller, so the threshold is lowered to 0 for every test but those
+of the direct path, which set it back.
 """
 
 import numpy as np
 import pytest
 
 from quivrep import builders, linalg, new_quiver, new_rep
-from quivrep.config import SVD_FACTOR
+from quivrep.config import SPLIT_MIN_COLS, SVD_FACTOR
 from quivrep.hom import end_basis, hom_basis, is_indecomposable
 from quivrep.opmodels import (
     OperatorPair,
@@ -28,6 +32,11 @@ from quivrep.opmodels import (
 )
 from quivrep.rep import direct_sum, idempotent_fault
 from conftest import random_rep
+
+
+@pytest.fixture(autouse=True)
+def plan_every_system(monkeypatch):
+    monkeypatch.setattr(linalg, "SPLIT_MIN_COLS", 0)
 
 
 def left_mult_matrix(c, ncols: int) -> np.ndarray:
@@ -375,3 +384,62 @@ def test_random_quivers_match_the_full_system():
         _assert_same_space(_flat(hb), _svd_nullspace(system))
         assert hb.max_residual <= 1e-10
     assert fired >= 60
+
+
+def _factored_shapes(monkeypatch):
+    """The shapes `hom_basis` passes to `linalg.nullspace_with_values`, with the threshold back at its value."""
+    monkeypatch.setattr(linalg, "SPLIT_MIN_COLS", SPLIT_MIN_COLS)
+    shapes = []
+    factor = linalg.nullspace_with_values
+
+    def spy(a, *args):
+        shapes.append(np.shape(a))
+        return factor(a, *args)
+
+    monkeypatch.setattr(linalg, "nullspace_with_values", spy)
+    return shapes
+
+
+def test_a_system_under_the_threshold_is_factored_whole(monkeypatch):
+    shapes = _factored_shapes(monkeypatch)
+    rng = np.random.default_rng(3)
+    dims = {"1": 1, "2": 1, "3": 2, "4": 3, "5": 4}
+    r = _star(dims, {f"a{i}": _injection(rng, 4, dims[str(i)]) for i in range(1, 5)})
+    eb = end_basis(r)
+    system = _full_hom_system(r, r)
+    assert system.shape[1] == 31 and eb.pivots == () and eb.system_shape == system.shape
+    assert shapes == [system.shape]
+    _assert_same_space(_flat(eb), _svd_nullspace(system))
+
+
+def test_a_system_at_the_threshold_keeps_its_plan(monkeypatch):
+    shapes = _factored_shapes(monkeypatch)
+    r = builders.build_extended_dynkin("d4tilde", jordan_block(3))
+    eb = end_basis(r)
+    assert _full_hom_system(r, r).shape[1] == 72
+    assert eb.pivots and eb.system_shape[1] == 9 and shapes == [eb.system_shape]
+
+
+def test_a_small_system_that_overflows_whole_is_planned(monkeypatch):
+    shapes = _factored_shapes(monkeypatch)
+    # [a b] determines vertex 2, so the plan factors T_1 alone and never meets 1e308 * 1e308
+    q = new_quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], name="K2")
+    r = new_rep(q, {"1": 1, "2": 2}, {"a": [[1e308], [1e308]], "b": [[0.0], [1e308]]})
+    eb = end_basis(r)
+    assert eb.pivots and eb.system_shape == (0, 1) and eb.dim == 1
+    assert shapes == [(4, 5), (0, 1)]
+
+
+def test_direct_and_planned_hom_dimensions_agree(monkeypatch):
+    rng = np.random.default_rng(13)
+    kinds = set()
+    for _ in range(60):
+        # the quivers and dimensions of `_random_quiver_reps`, with generic arrows
+        r1, r2 = (random_rep(r.quiver, r.dims, rng) for r in _random_quiver_reps(rng))
+        planned = hom_basis(r1, r2)
+        monkeypatch.setattr(linalg, "SPLIT_MIN_COLS", SPLIT_MIN_COLS)
+        direct = hom_basis(r1, r2)
+        monkeypatch.setattr(linalg, "SPLIT_MIN_COLS", 0)
+        assert direct.pivots == () and direct.dim == planned.dim
+        kinds.add((bool(planned.pivots), min(planned.dim, 2)))
+    assert kinds >= {(True, 1), (True, 2), (False, 0)}

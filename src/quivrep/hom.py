@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .config import IDEM_TRIALS, ISO_TRIALS, PIVOT_TOL
 from .errors import PreconditionError
-from .rep import Hom, Rep, hom_residual, idempotent_fault, is_invertible_hom, make_hom
+from .rep import Hom, Rep, hom_residual, idempotent_fault, is_invertible_hom, make_hom, real_mats
 
 
 class Pivot(NamedTuple):
@@ -37,7 +37,9 @@ class HomBasis:
     dim v) array stacking the basis elements' blocks at v; the Homs in `basis`
     hold views into it.  The elimination plan is `pivots`, in the order they
     were taken, and `system_shape`, the system actually factored (its columns
-    are the unknowns left); `tol_used` is that factorization's cutoff.
+    are the unknowns left); `tol_used` is that factorization's cutoff.  Blocks
+    are complex; those of two real representations are solved in real
+    arithmetic and may differ from the complex solve by a rotation of the basis.
     """
 
     source: Rep
@@ -112,10 +114,8 @@ def _pivot_blocks(width: int, blocks: list, ref: float, svd) -> list[_Candidate]
             k = c.r.shape[1]
             if k > left or not _can_fill((d.r.shape[1] for d in rest if d is not c), left - k):
                 continue
-            if taken:
-                f_values = np.linalg.svd(np.hstack([t.r for t in taken] + [c.r]), compute_uv=False)
-            else:
-                f_values = svd(c.r)[1]
+            f_values = (np.linalg.svd(np.hstack([t.r for t in taken] + [c.r]), compute_uv=False) if taken
+                        else svd(c.r, uv=False))
             lo = f_values[-1] * min(t.s[-1] for t in taken + [c])
             if best is None or lo > best_lo * (1 + 1e-8):
                 best, best_lo, best_f_values = c, lo, f_values
@@ -135,13 +135,14 @@ def _eliminate(rows: list, roots: list[str], d1, d2, ref: float, eye: dict):
     in the order the pivots were taken.  `eye` holds the identity matrices the
     terms share; each term matrix is factored at most once.
     """
-    # id(m) -> (m, SVD of m), holding m so that its id stays unique; identities are known
-    svds = {id(i): (i, (i, np.ones(len(i)), i)) for i in eye.values()}
+    # (id(m), uv) -> (m, SVD of m, or without uv its values), holding m so that its id stays unique
+    svds = {(id(i), uv): (i, (i, np.ones(len(i)), i) if uv else np.ones(len(i)))  # identities are known
+            for i in eye.values() for uv in (True, False)}
 
-    def svd(m):
-        if id(m) not in svds:
-            svds[id(m)] = (m, np.linalg.svd(m))
-        return svds[id(m)][1]
+    def svd(m, uv=True):
+        if (id(m), uv) not in svds:
+            svds[id(m), uv] = (m, np.linalg.svd(m, compute_uv=uv))
+        return svds[id(m), uv][1]
     roots, solved, pivots = list(roots), [], []
     while True:
         occurs = Counter(v for _, terms in rows for v in {t[0] for t in terms})
@@ -185,11 +186,11 @@ def _eliminate(rows: list, roots: list[str], d1, d2, ref: float, eye: dict):
         roots.remove(u)
 
 
-def _assemble(rows: list, roots: list[str], sizes) -> tuple[np.ndarray, dict[str, int]]:
-    """The Kronecker system of `rows` over `roots` (in that order), and each root's first column."""
+def _assemble(rows: list, roots: list[str], sizes, field) -> tuple[np.ndarray, dict[str, int]]:
+    """The Kronecker system of `rows` over `roots` (in that order), in dtype `field`, and each root's first column."""
     cols = dict(zip(roots, accumulate((sizes[v] for v in roots), initial=0)))
     system = np.zeros((sum(t[0][1].shape[0] * t[0][2].shape[1] for _, t in rows), sum(sizes[v] for v in roots)),
-                      dtype=complex)
+                      dtype=field)
     row = 0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the factorization to report
         for _, terms in rows:
@@ -224,37 +225,43 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     about eps sigma_1 / gap under rounding, gap the smallest singular value
     kept.  So when the reduced system's gap is within 1/PIVOT_TOL of the
     cutoff, the plan is dropped and the full system is factored as it stands.
+    When both representations are real (`rep.real_mats`), all of this runs in
+    real arithmetic; the basis is returned complex and may differ from the
+    complex-arithmetic one by a rotation within the same space.
     """
     if r1.quiver != r2.quiver:
         raise ValueError("hom spaces need representations of the same quiver")
     q = r1.quiver
     d1, d2 = r1.dims, r2.dims
+    real = real_mats(r1) is not None and real_mats(r2) is not None
+    field, m1, m2 = (float, real_mats(r1), real_mats(r2)) if real else (complex, r1.mats, r2.mats)
     sizes = {v: d2[v] * d1[v] for v in q.vertices}
     offsets = dict(zip(q.vertices, accumulate(sizes.values(), initial=0)))
     full_shape = (sum(d2[a.dst] * d1[a.src] for a in q.arrows), sum(sizes.values()))
     eye = {n: np.eye(n) for n in {*d1.values(), *d2.values()}}
     rows = []  # (arrow name, terms): sum of L @ T_root @ R over the terms = 0
-    ref = 0.0  # the largest entry of the full system: a lower bound on its norm
     for a in q.arrows:
-        f, g = r1.mats[a.name], r2.mats[a.name]
+        f, g = m1[a.name], m2[a.name]
         if d2[a.dst] * d1[a.src]:
-            if a.src != a.dst:
-                ref = max([ref] + [float(np.abs(m).max()) for m in (f, g) if m.size])
             terms = [t for t in ((a.dst, eye[d2[a.dst]], f), (a.src, -g, eye[d1[a.src]])) if sizes[t[0]]]
             if terms:
                 rows.append((a.name, terms))
 
+    def ref() -> float:  # the largest entry of the full system, a lower bound on its norm; only plans read it
+        return max((float(np.abs(m).max()) for a in q.arrows if a.src != a.dst and d2[a.dst] * d1[a.src]
+                    for m in (m1[a.name], m2[a.name]) if m.size), default=0.0)
+
     roots = [v for v in q.vertices if sizes[v]]
     whole = (rows, roots, [], [])
-    plans = [whole] if full_shape[1] < linalg.SPLIT_MIN_COLS else [_eliminate(rows, roots, d1, d2, ref, eye), whole]
+    plans = [whole] if full_shape[1] < linalg.SPLIT_MIN_COLS else [_eliminate(rows, roots, d1, d2, ref(), eye), whole]
     for left, unknowns, solved, pivots in plans:
-        system, cols = _assemble(left, unknowns, sizes)
+        system, cols = _assemble(left, unknowns, sizes, field)
         try:
-            s, tol_used, vectors = linalg.nullspace_with_values(system, ref if pivots else 0.0, full_shape)
-        except OverflowError:
-            if len(plans) > 1:  # a planned system, or the whole of a large one
+            s, tol_used, vectors = linalg.nullspace_with_values(system, ref() if pivots else 0.0, full_shape)
+        except OverflowError:  # re-raised for a planned system, the whole of a large one, or a plan with no pivot
+            if len(plans) > 1 or not (plan := _eliminate(rows, roots, d1, d2, ref(), eye))[3]:
                 raise
-            plans.append(_eliminate(rows, roots, d1, d2, ref, eye))  # the loop goes on to it
+            plans.append(plan)  # the loop goes on to it
             continue
         kept = s[s > tol_used]  # the gap is the smallest of these
         if not (pivots and len(kept) and kept[-1] * PIVOT_TOL <= tol_used):
@@ -262,9 +269,10 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     m = vectors.shape[1]
 
     if pivots and m:
+        vectors = vectors.real if field is float else vectors  # exact: the phases of real columns are signs
         x = {v: vectors[c : c + sizes[v]].T.reshape(m, d2[v], d1[v]) for v, c in cols.items()}
         for u, expr in reversed(solved):
-            x[u] = sum((l @ x[w] @ r for w, l, r in expr), np.zeros((m, d2[u], d1[u]), dtype=complex))
+            x[u] = sum((l @ x[w] @ r for w, l, r in expr), np.zeros((m, d2[u], d1[u]), dtype=field))
         lifted = np.concatenate([x[v].reshape(m, -1) if v in x else np.zeros((m, 0)) for v in q.vertices], axis=1)
         vectors = linalg.phase_normalize(np.linalg.qr(lifted.T)[0])
 

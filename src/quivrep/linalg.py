@@ -57,7 +57,9 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
 
     Rank and nullity do not depend on the scalar field, and a real-field SVD
     is several times cheaper than a complex one, so factorizations switch to
-    the real path whenever nothing imaginary is present.
+    the real path whenever nothing imaginary is present.  `hom.hom_basis`
+    solves a Hom of two real representations in real arithmetic throughout;
+    it returns it complex, its basis possibly rotated within the same space.
     """
     if np.iscomplexobj(a) and not a.imag.any():
         return a.real
@@ -105,9 +107,10 @@ def nullspace_with_values(a, scale: float = 0.0, shape=None) -> tuple[np.ndarray
     block-diagonal (End of a direct sum) is factored one block at a time,
     blocks of one shape in one stacked SVD, at cost sum n_i^3 for n^3: the
     singular values, padded with zeros, are the same multiset, so the rank
-    is too.  Its null vectors come block by block (see `_blocks`).
+    is too.  Its null vectors come block by block (see `_blocks`).  A float64
+    `a` is factored as it is, other arrays as complex; the vectors are complex.
     """
-    a = real_if_exact(np.asarray(a, dtype=complex))
+    a = real_if_exact(np.asarray(a, dtype=float if np.asarray(a).dtype == float else complex))
     rows, cols = a.shape
     shape = a.shape if shape is None else shape
     blocks = _blocks(a)
@@ -154,9 +157,9 @@ def qr_orthonormalize(a) -> np.ndarray:
     """Orthonormalize the columns of a full-column-rank matrix (plain QR, no pivoting).
 
     `a` may be a stack of such matrices; each is orthonormalized on its own,
-    in one call of `np.linalg.qr`.
+    in one call of `np.linalg.qr`, in real arithmetic when `a` is float64.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a, dtype=float if np.asarray(a).dtype == float else complex)
     if a.shape[-1] == 0:
         return a.copy()
     q, r = np.linalg.qr(a)

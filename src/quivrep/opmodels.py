@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import PreconditionError
-from .hom import end_basis, is_indecomposable
+from .hom import HomBasis, end_basis, is_indecomposable
 from .quiver import jordan_quiver, kronecker_quiver, new_quiver
 from .rep import Rep, new_rep
 
@@ -405,18 +405,21 @@ def four_subspace_from_pair(p: OperatorPair) -> SubspaceSystem:
     return p.system
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SystemEndBasis:
-    """Orthonormal basis of {T : T E_i <= E_i for all i}; the other fields describe its solve."""
+    """Orthonormal basis of {T : T E_i <= E_i for all i}, restricted from `end`, End of the system's rep.
+
+    The solve and the residual, computed when first read, are `end`'s; a real system's is solved in real
+    arithmetic and returned complex, its basis possibly rotated within the same space (see `hom.hom_basis`).
+    """
 
     basis: list[np.ndarray]
-    tol_used: float
-    system_shape: tuple[int, int] = (0, 0)
-    max_residual: float = 0.0
+    end: HomBasis
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    dim = property(lambda self: len(self.basis))
+    tol_used = property(lambda self: self.end.tol_used)
+    system_shape = property(lambda self: self.end.system_shape)
+    max_residual = property(lambda self: self.end.max_residual)
 
 
 def subspace_system_end(s: SubspaceSystem) -> SystemEndBasis:
@@ -431,10 +434,8 @@ def subspace_system_end(s: SubspaceSystem) -> SystemEndBasis:
     d = s.ambient
     eb = end_basis(subspace_system_rep(s))
     center = str(len(s.injections) + 1)
-    flat = eb.blocks[center].reshape(eb.dim, d * d)
-    q = linalg.qr_orthonormalize(flat.T)
-    basis = [q[:, j].reshape(d, d) for j in range(eb.dim)]
-    return SystemEndBasis(basis, eb.tol_used, eb.system_shape, eb.max_residual)
+    q = linalg.qr_orthonormalize(linalg.real_if_exact(eb.blocks[center].reshape(eb.dim, d * d)).T)
+    return SystemEndBasis([q[:, j].reshape(d, d) for j in range(eb.dim)], eb)
 
 
 def subspace_system_rep(s: SubspaceSystem) -> Rep:

@@ -26,8 +26,8 @@ class Rep:
     quiver: Quiver
     dims: dict[str, int]
     mats: dict[str, np.ndarray]
-    # what is derived from the representation alone, made once: End under "end" (by
-    # `hom.end_basis`), reflections under (vertex, "sink" | "source") (by `reflection._reflect`)
+    # made once from the representation alone: End under "end" (by `hom.end_basis`), reflections under
+    # (vertex, "sink" | "source") (by `reflection._reflect`), real matrices or None under "real" (by `real_mats`)
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -89,6 +89,14 @@ def new_rep(q: Quiver, dims, mats=None) -> Rep:
             raise ValueError(f"arrow {a.name!r}: matrix has non-finite entries")
         out[a.name] = m
     return Rep(q, full_dims, {name: linalg.read_only(m) for name, m in out.items()})
+
+
+def real_mats(r: Rep) -> dict[str, np.ndarray] | None:
+    """Read-only real views of r's matrices when no entry has an imaginary part, else None; decided once per Rep."""
+    if "real" not in r._kept:
+        real = not any(np.count_nonzero(m.imag) for m in r.mats.values())
+        r._kept["real"] = {name: m.real for name, m in r.mats.items()} if real else None
+    return r._kept["real"]
 
 
 def zero_rep(q: Quiver) -> Rep:

@@ -7,6 +7,13 @@ import pytest
 from quivrep.verify import _random_rep as random_rep  # noqa: F401
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# numpy.exceptions.ComplexWarning in numpy 2, numpy.ComplexWarning in 1.24
+COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
+
+
+def pytest_configure(config):
+    # a complex value written into a real array silently loses its imaginary part
+    config.addinivalue_line("filterwarnings", f"error::{COMPLEX_WARNING.__module__}.{COMPLEX_WARNING.__name__}")
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from quivrep import builders, linalg, new_quiver, new_rep
+from quivrep import hom as hom_module
 from quivrep.config import SPLIT_MIN_COLS, SVD_FACTOR
 from quivrep.hom import end_basis, hom_basis, is_indecomposable
 from quivrep.opmodels import (
@@ -213,6 +214,75 @@ def test_reduced_hom_matches_full_system(name):
     _assert_same_space(_flat(hb), _svd_nullspace(_full_hom_system(r1, r2)))
     assert all(h.residual <= 1e-10 for h in hb.basis)
     assert hb.dim > 0
+
+
+def _is_real(r):
+    return not any(m.imag.any() for m in r.mats.values())
+
+
+def _real_pair(name):
+    """(source, target) of a case whose two representations are real, or of the Kronecker rep of a pair."""
+    if name == "kronecker-pair":
+        r = kron_pair_shift_rank_one("seq:reciprocal", "seq:one-minus-pow:2", 6).rep
+        return r, r
+    return _case(name)[:2]
+
+
+REAL_CASES = [name for name in CASES if all(map(_is_real, _case(name)[:2]))] + ["kronecker-pair"]
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends (first argument, result) to `calls`."""
+    original = getattr(module, name)
+
+    def spy(a, *args, **kwargs):
+        out = original(a, *args, **kwargs)
+        calls.append((a, out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_real_representations_are_solved_in_real_arithmetic(monkeypatch):
+    assert len(REAL_CASES) == 9 and {"d4tilde", "pair-bilateral", "kronecker-jordan"} <= set(REAL_CASES)
+    pairs = [_real_pair(case) for case in REAL_CASES]
+    calls = {name: [] for name in ("svd", "inv", "qr")}
+    for name, seen in calls.items():
+        _spy(monkeypatch, np.linalg, name, seen)
+    for r1, r2 in pairs:
+        hom_basis(r1, r2)
+    # every SVD, inverse and QR of the solve, the plan's and the lift's included
+    assert all(seen for seen in calls.values())
+    assert {np.asarray(a).dtype for seen in calls.values() for a, _ in seen} == {np.dtype(float)}
+
+
+@pytest.mark.parametrize("name", REAL_CASES)
+def test_a_real_solve_spans_the_complex_solve(monkeypatch, name):
+    r1, r2 = _real_pair(name)
+    factored = []
+    _spy(monkeypatch, linalg, "real_if_exact", factored)
+    real = hom_basis(r1, r2)
+    # every factorization still passes its system, assembled real, through real_if_exact
+    assert factored and all(a.dtype == float and out is a for a, out in factored)
+    assert all(b.dtype == complex for b in real.blocks.values())
+    assert all(m.dtype == complex for h in real.basis for m in h.mats.values())
+    monkeypatch.setattr(hom_module, "real_mats", lambda r: None)  # the complex-arithmetic solve
+    full = hom_basis(r1, r2)
+    assert (real.dim, real.system_shape, real.pivots) == (full.dim, full.system_shape, full.pivots)
+    p_real, p_full = (_flat(hb) @ _flat(hb).conj().T for hb in (real, full))
+    assert np.linalg.norm(p_real - p_full) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["c3-unimodular", "star-mixed"])
+def test_a_complex_representation_keeps_the_complex_path(monkeypatch, name):
+    r1, r2, _ = _case(name)
+    assert not _is_real(r1) and not _is_real(r2)
+    systems = []
+    _spy(monkeypatch, linalg, "real_if_exact", systems)
+    hb = hom_basis(r1, r2)
+    assert r1._kept["real"] is None and r2._kept["real"] is None
+    assert systems and all(a.dtype == complex and np.iscomplexobj(out) for a, out in systems)
+    assert all(b.dtype == complex for b in hb.blocks.values())
 
 
 @pytest.mark.parametrize("kind", ["shift-rank-one", "bilateral", "graph"])
@@ -428,6 +498,16 @@ def test_a_small_system_that_overflows_whole_is_planned(monkeypatch):
     eb = end_basis(r)
     assert eb.pivots and eb.system_shape == (0, 1) and eb.dim == 1
     assert shapes == [(4, 5), (0, 1)]
+
+
+def test_a_small_system_with_no_pivot_overflows_after_one_factorization(monkeypatch):
+    shapes = _factored_shapes(monkeypatch)
+    # the loop holds T twice in its one row block, as T a - a T: no block determines T
+    q = new_quiver(["1"], [("a", "1", "1")], name="L")
+    r = new_rep(q, {"1": 2}, {"a": [[1e308, 1e308], [1e308, -1e308]]})
+    with pytest.raises(OverflowError):
+        end_basis(r)
+    assert shapes == [(4, 4)]
 
 
 def test_direct_and_planned_hom_dimensions_agree(monkeypatch):

@@ -407,6 +407,28 @@ def test_system_end_with_no_constraints_is_full():
     assert subspace_system_end(s).dim == 4
 
 
+def test_a_real_system_end_is_orthonormalized_in_real_arithmetic(monkeypatch):
+    system = four_subspace_from_pair(kron_pair_bilateral("seq:exp-neg-pow:1.1:even", "seq:exp-neg-pow:1.1:odd", 2))
+    end_basis(subspace_system_rep(system))  # solved first: only the restriction is watched
+    qr, dtypes = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: dtypes.append(np.asarray(a).dtype) or qr(a, *args))
+    se = subspace_system_end(system)
+    assert dtypes == [np.dtype(float)] and se.dim == 5
+    assert all(t.dtype == complex for t in se.basis)
+
+
+def test_the_system_end_residual_is_computed_when_first_read(monkeypatch):
+    calls = []
+    residual = hom.hom_residual
+    monkeypatch.setattr(hom, "hom_residual", lambda *args: calls.append(args) or residual(*args))
+    system = four_subspace_from_pair(kron_pair_shift_rank_one("seq:reciprocal", "seq:one-minus-pow:2", 5))
+    se = subspace_system_end(system)
+    assert calls == []
+    first = se.max_residual
+    assert len(calls) == 1 and first <= 1e-10
+    assert first == end_basis(subspace_system_rep(system)).max_residual == se.max_residual and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # the doubling map
 

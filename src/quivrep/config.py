@@ -8,8 +8,8 @@ TOL: ContextVar[float] = ContextVar("TOL", default=1e-9)
 # Nullspace / rank cutoff: a singular value counts as zero when it is
 # <= sigma_max * max(rows, cols) * SVD_FACTOR.
 SVD_FACTOR = 2.0**-40
-# A pivot of the Hom elimination needs sigma_min > PIVOT_TOL * max(sigma_max, the
-# largest entry of the system): it then amplifies rounding error at most ~1/PIVOT_TOL.
+# A pivot of the Hom elimination needs sigma_min > PIVOT_TOL * max(sigma_max, the largest entry of the
+# system): it then amplifies rounding error at most ~1/PIVOT_TOL.  It is also `linalg._blocks`' singleton floor.
 PIVOT_TOL = 1e-3
 # Searching a system for structure pays from SPLIT_MIN_COLS columns on (2-vCPU timings).
 # Below it `hom.hom_basis` factors a Hom system whole, planning it only if that overflows:

@@ -36,8 +36,9 @@ class HomBasis:
     `blocks` maps each vertex v to one read-only (dim, target dim v, source
     dim v) array stacking the basis elements' blocks at v; the Homs in `basis`
     hold views into it.  The elimination plan is `pivots`, in the order they
-    were taken, and `system_shape`, the system actually factored (its columns
-    are the unknowns left); `tol_used` is that factorization's cutoff.  Blocks
+    were taken, and `system_shape`, the system assembled after them (its
+    columns are the unknowns left; singleton rows may still peel some before
+    it is factored); `tol_used` is that factorization's cutoff.  Blocks
     are complex; those of two real representations are solved in real
     arithmetic and may differ from the complex solve by a rotation of the basis.
     """
@@ -218,8 +219,10 @@ def hom_basis(r1: Rep, r2: Rep) -> HomBasis:
     largest block first, then fewest row blocks, then in quiver order, until
     none qualifies.  What is left is factored by `linalg.nullspace_with_values`,
     one block of its nonzero pattern at a time, with one cutoff relative to the
-    full system's shape and, after a pivot, to at least its largest entry; the
-    nullspace is lifted back through the pivots and re-orthonormalized.
+    full system's shape and, after a pivot, to at least its largest entry, by
+    which it first peels the unknowns that singleton rows force to 0
+    (`system_shape` stays the assembled shape); the nullspace is lifted back
+    through the pivots and re-orthonormalized.
 
     The pivots amplify rounding by up to 1/PIVOT_TOL, and a nullspace moves by
     about eps sigma_1 / gap under rounding, gap the smallest singular value

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import CLUSTER_GAP, SPLIT_MIN_COLS, SVD_FACTOR, TOL
+from .config import CLUSTER_GAP, PIVOT_TOL, SPLIT_MIN_COLS, SVD_FACTOR, TOL
 
 
 def read_only(a) -> np.ndarray:
@@ -72,30 +72,42 @@ def matrix_rank(a) -> int:
     return int(np.sum(s > svd_cutoff(s, a.shape)))
 
 
-def _blocks(a: np.ndarray):
+def _blocks(a: np.ndarray, scale: float = 0.0):
     """(rows, columns) of each connected component of the exact nonzero pattern of `a`.
 
     Two columns are joined when some row is nonzero in both; a row lies in
     the block of its columns, a zero column is a block with no rows, and
-    blocks come in order of their smallest column.  None when the search
-    cannot pay: fewer than SPLIT_MIN_COLS columns, no nonzero entry, a row
-    with no zero entry (it joins every column), or a single block.
+    blocks come in order of their smallest column.  With `scale` > 0, while a
+    row has exactly one nonzero entry a_ij in the columns left and |a_ij| >
+    PIVOT_TOL * max(scale, max |a|) (`hom._pivot_blocks`' rule for a 1 x 1
+    block), column j is peeled: it lies in no block.  As a_ij != 0, ker A =
+    ker A'' ⊕ 0 and ||A x|| = ||A'' x''|| for x = (x'', 0), A'' the columns
+    left.  None when nothing was peeled and the search cannot pay: fewer than
+    SPLIT_MIN_COLS columns, no nonzero entry, a row with no zero entry (it
+    joins every column), or a single block.
     """
     n = a.shape[1]
     if n < SPLIT_MIN_COLS:
         return None
-    nonzero = a != 0
-    if nonzero.all(axis=1).any():
+    nonzero, live = a != 0, np.ones(n, dtype=bool)
+    if scale:
+        size = np.abs(a)
+        big, count = size > PIVOT_TOL * max(scale, size.max(initial=0.0)), nonzero.sum(axis=1)
+        fresh = count == 1  # a row once checked as a singleton can only lose its entry later
+        while (gone := (big[fresh] & live).any(axis=0)).any():
+            live, drop = live & ~gone, nonzero[:, gone].sum(axis=1)
+            fresh, count = (count > 1) & (count == drop + 1), count - drop
+    kept = np.flatnonzero(live)
+    whole, n, nonzero = len(kept) == n, len(kept), nonzero[:, kept]  # whole: nothing was peeled
+    if whole and (not nonzero.any() or nonzero.all(axis=1).any()):
         return None
     r, c = np.divmod(np.flatnonzero(nonzero), n)  # row-major: the nonzero columns of a row are consecutive
-    if r.size == 0:
-        return None
     same = r[1:] == r[:-1]
     edges = np.divmod(np.unique(c[:-1][same] * n + c[1:][same]), n)  # rows of one pattern give one edge set
     columns = connected_components(n, zip(edges[0].tolist(), edges[1].tolist()))
-    if len(columns) == 1:
+    if whole and len(columns) == 1:
         return None
-    return [(np.flatnonzero(nonzero[:, b].any(axis=1)), b) for b in columns]
+    return [(np.flatnonzero(nonzero[:, b].any(axis=1)), kept[b]) for b in columns]
 
 
 def nullspace_with_values(a, scale: float = 0.0, shape=None) -> tuple[np.ndarray, float, np.ndarray]:
@@ -103,17 +115,20 @@ def nullspace_with_values(a, scale: float = 0.0, shape=None) -> tuple[np.ndarray
 
     The cutoff is `svd_cutoff(s, shape, scale)`, `shape` defaulting to the
     shape of `a`; a system reduced from a larger one passes that system's
-    shape and a lower bound on its norm.  A system that a permutation makes
+    shape and a lower bound on its norm.  A bound > 0 peels singleton rows
+    by `_blocks`' rule: a peeled column is 0 in every null vector, and
+    ||A x|| is that of the columns left.  A system that a permutation makes
     block-diagonal (End of a direct sum) is factored one block at a time,
     blocks of one shape in one stacked SVD, at cost sum n_i^3 for n^3: the
-    singular values, padded with zeros, are the same multiset, so the rank
-    is too.  Its null vectors come block by block (see `_blocks`).  A float64
-    `a` is factored as it is, other arrays as complex; the vectors are complex.
+    singular values, padded with zeros, are the same multiset (a peeled
+    column adds none), so the rank is too.  Its null vectors come block by
+    block.  A float64 `a` is factored as it is, other arrays as complex;
+    the vectors are complex.
     """
     a = real_if_exact(np.asarray(a, dtype=float if np.asarray(a).dtype == float else complex))
     rows, cols = a.shape
     shape = a.shape if shape is None else shape
-    blocks = _blocks(a)
+    blocks = _blocks(a, scale)
     if blocks is None:
         # a tall system needs only the thin U; Vh is complete either way
         _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
@@ -128,7 +143,7 @@ def nullspace_with_values(a, scale: float = 0.0, shape=None) -> tuple[np.ndarray
         _, s_stack, vh_stack = np.linalg.svd(a[r[:, :, None], c[:, None, :]], full_matrices=m < n)
         for i, s_i, vh_i in zip(members, s_stack, vh_stack):
             factors[i] = (s_i, vh_i)
-    values = np.concatenate([s_i for s_i, _ in factors])
+    values = np.concatenate([np.zeros(0)] + [s_i for s_i, _ in factors])
     s = np.sort(np.concatenate([values, np.zeros(min(rows, cols) - len(values))]))[::-1]
     cutoff = svd_cutoff(s, shape, scale)
     null = [vh_i[int(np.sum(s_i > cutoff)):].conj().T for s_i, vh_i in factors]

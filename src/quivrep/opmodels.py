@@ -21,7 +21,7 @@ from . import linalg
 from .errors import PreconditionError
 from .hom import HomBasis, end_basis, is_indecomposable
 from .quiver import jordan_quiver, kronecker_quiver, new_quiver
-from .rep import Rep, new_rep
+from .rep import Rep, new_rep, real_mats
 
 # ---------------------------------------------------------------------------
 # weight sequences
@@ -471,10 +471,12 @@ def phi_map(pair: OperatorPair) -> PhiMapReport:
     system = four_subspace_from_pair(pair)
     system_end_dim = end_basis(subspace_system_rep(system)).dim
 
-    images = np.zeros((eb.dim, 2 * n, 2 * n), dtype=complex)
-    images[:, :n, :n] = images[:, n:, n:] = eb.blocks["2"]
-    eye2n = np.eye(2 * n, dtype=complex)
-    projs = [j @ j.conj().T for j in system.injections]
+    real = real_mats(pair.rep) is not None  # End's blocks and the injections then have no imaginary part
+    injections = [j.real for j in system.injections] if real else system.injections
+    images = np.zeros((eb.dim, 2 * n, 2 * n), dtype=float if real else complex)
+    images[:, :n, :n] = images[:, n:, n:] = eb.blocks["2"].real if real else eb.blocks["2"]
+    eye2n = np.eye(2 * n)
+    projs = [j @ j.conj().T for j in injections]
     defects = [np.linalg.norm((eye2n - p) @ images @ p, axis=(-2, -1)) for p in projs]
     memb = float(np.max(defects, initial=0.0))
     ker_dim = eb.dim - linalg.matrix_rank(images.reshape(eb.dim, 4 * n * n))

@@ -20,7 +20,7 @@ import pytest
 
 from quivrep import builders, linalg, new_quiver, new_rep
 from quivrep import hom as hom_module
-from quivrep.config import SPLIT_MIN_COLS, SVD_FACTOR
+from quivrep.config import PIVOT_TOL, SPLIT_MIN_COLS, SVD_FACTOR
 from quivrep.hom import end_basis, hom_basis, is_indecomposable
 from quivrep.opmodels import (
     OperatorPair,
@@ -343,7 +343,82 @@ def test_a_direct_sum_is_factored_one_block_at_a_time(monkeypatch):
 def test_a_single_jordan_block_is_factored_whole(monkeypatch):
     widths = _factored_columns(monkeypatch)
     eb = end_basis(builders.build_extended_dynkin("e6tilde", jordan_block(4, 0.5)))
-    assert widths == [144] and eb.system_shape == (144, 144) and eb.dim == 4
+    # singleton rows force 96 of the 144 unknowns to zero; the 48 left are one block
+    assert widths == [48] and eb.system_shape == (144, 144) and eb.dim == 4
+
+
+def _peeled(monkeypatch):
+    """How many columns `linalg._blocks` peels from each system it is given with a scale."""
+    peeled, blocks = [], linalg._blocks
+
+    def spy(a, scale=0.0):
+        out = blocks(a, scale)
+        if scale:
+            peeled.append(a.shape[1] - (a.shape[1] if out is None else sum(len(c) for _, c in out)))
+        return out
+
+    monkeypatch.setattr(linalg, "_blocks", spy)
+    return peeled
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ["nilpotent", "diagonal"])
+@pytest.mark.parametrize("family", ["e6tilde", "e7tilde"])
+def test_peeling_singleton_rows_keeps_the_full_nullspace(monkeypatch, family, kind, k):
+    peeled = _peeled(monkeypatch)
+    eigenvalues = np.arange(1, k + 1) * np.exp(2j * np.pi * np.arange(k) / k)
+    op = jordan_block(k) if kind == "nilpotent" else np.diag(eigenvalues)
+    r = builders.build_extended_dynkin(family, op)
+    eb = end_basis(r)
+    assert peeled and all(peeled)  # the center's system, factored with fewer columns
+    assert eb.dim == k  # the commutant of J_k, or of k distinct eigenvalues
+    _assert_same_space(_flat(eb), _svd_nullspace(_full_hom_system(r, r)))
+
+
+def test_a_singleton_at_or_below_the_floor_is_not_peeled(monkeypatch):
+    floor = PIVOT_TOL * 2.0  # the scale, above every entry
+    a = np.zeros((3, 64))
+    a[0, 0], a[1, 1], a[2, 2] = 1e-16, floor, floor * (1 + 1e-12)
+    # only column 2 leaves: columns 0 and 1 stay, each a block of one row
+    assert [list(c) for _, c in linalg._blocks(a, 2.0)] == [[0], [1]] + [[j] for j in range(3, 64)]
+    # the 1e-16 entry is below the cutoff, so e_0 is a null vector, as in the full factorization
+    vectors = linalg.nullspace_with_values(a, 2.0)[2]
+    assert vectors.shape[1] == 62 and not vectors[2].any() and np.abs(vectors[0]).max() == 1.0
+    # c3-unimodular: the pivots leave one row z1 z2 z3 - 1, a rounding residue of about 1e-16
+    factored = []
+    _spy(monkeypatch, linalg, "nullspace_with_values", factored)
+    r, _, _ = _case("c3-unimodular")
+    eb = end_basis(r)
+    assert eb.pivots and len(factored) == 1 and 0 < np.abs(factored[0][0]).max() < 1e-15
+    assert eb.dim == 1
+
+
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+def test_without_a_scale_singleton_rows_are_not_peeled(banded):
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((70, 80)) + 1j * rng.standard_normal((70, 80))
+    if banded:
+        a = np.triu(np.tril(a, 11), -1)
+    a[:, 3] = a[:, 7]
+    a = np.vstack([a, 2 * np.eye(80)[:5]])  # five singleton rows
+    assert linalg._blocks(a) is None and sum(len(c) for _, c in linalg._blocks(a, 1.0)) == 75
+    s, cutoff, vectors = linalg.nullspace_with_values(a)
+    _, s_plain, vh = np.linalg.svd(a, full_matrices=True)
+    assert s.tobytes() == s_plain.tobytes()
+    assert vectors.tobytes() == linalg.nullspace(a).tobytes()
+    assert vectors.tobytes() == linalg.phase_normalize(vh[int(np.sum(s_plain > cutoff)):].conj().T).tobytes()
+
+
+def test_a_planned_system_whose_every_column_is_peeled_has_nullity_zero():
+    # a = 1 determines T_2 = T_1, and each row (j - i - 3) T_ij of b holds one unknown
+    q = new_quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], name="K2")
+    r1, r2 = (new_rep(q, {"1": 3, "2": 3}, {"a": np.eye(3), "b": np.diag(d)}) for d in ([1.0, 2, 3], [4.0, 5, 6]))
+    hb = hom_basis(r1, r2)
+    assert hb.pivots and hb.system_shape == (9, 9) and hb.dim == 0
+    # a bidiagonal system is peeled one column per sweep, from its last row up
+    a = np.eye(64) + np.diag(np.full(63, 5.0), 1)
+    s, cutoff, vectors = linalg.nullspace_with_values(a, 1.0)
+    assert linalg._blocks(a, 1.0) == [] and vectors.shape == (64, 0) and cutoff > 0
 
 
 @pytest.mark.parametrize("arrow, dim", [(None, 64), (np.eye(8), 64), (np.zeros((8, 8)), 128)],
